@@ -1,9 +1,11 @@
 #include "inference/engine.h"
 
+#include <algorithm>
 #include <chrono>
+#include <unordered_map>
 
 #include "common/string_util.h"
-#include "exec/parallel.h"
+#include "exec/exec_context.h"
 #include "fault/failpoint.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -70,11 +72,12 @@ std::vector<Fact> InferenceEngine::SeedFacts(
   return facts;
 }
 
-bool InferenceEngine::ExpandTypeFacts(std::vector<Fact>* facts) const {
+bool InferenceEngine::ExpandTypeFacts(std::vector<Fact>* facts,
+                                      size_t from) const {
   const TypeHierarchy& hierarchy = dictionary_->catalog().hierarchy();
   bool changed = false;
   // Iterate over indices: AddFact may grow the vector.
-  for (size_t i = 0; i < facts->size(); ++i) {
+  for (size_t i = from; i < facts->size(); ++i) {
     if ((*facts)[i].kind != Fact::Kind::kType) continue;
     const std::string variable = (*facts)[i].variable;
     const std::string type_name = (*facts)[i].type_name;
@@ -96,15 +99,78 @@ bool InferenceEngine::ExpandTypeFacts(std::vector<Fact>* facts) const {
   return changed;
 }
 
+namespace {
+
+// The range facts forward inference matches rule LHSs against, grouped by
+// attribute key. Each is clipped to its attribute's active domain once,
+// when it is added.
+class KnownRanges {
+ public:
+  explicit KnownRanges(const std::vector<AttributeDomain>& domains)
+      : domains_(domains) {}
+
+  // Adds the range facts at index `from` and later, and appends the key of
+  // each attribute that gained one to `gained` (once per key).
+  void AddFrom(const std::vector<Fact>& facts, size_t from,
+               std::vector<std::string>* gained) {
+    for (size_t i = from; i < facts.size(); ++i) {
+      if (facts[i].kind != Fact::Kind::kRange) continue;
+      const Clause& clause = facts[i].clause;
+      Interval interval = clause.interval();
+      if (const AttributeDomain* domain =
+              FindDomain(domains_, clause.attribute())) {
+        interval = interval.ClipTo(domain->lo, domain->hi);
+      }
+      std::string key = AttributeKey(clause.attribute());
+      if (std::find(gained->begin(), gained->end(), key) == gained->end()) {
+        gained->push_back(key);
+      }
+      by_key_[std::move(key)].push_back(std::move(interval));
+    }
+  }
+
+  // True when every LHS clause of `rule` contains some known interval over
+  // the same attribute (LhsSubsumesConditions under kBaseName matching).
+  bool Subsumes(const Rule& rule) const {
+    for (const Clause& clause : rule.lhs) {
+      auto it = by_key_.find(AttributeKey(clause.attribute()));
+      if (it == by_key_.end()) return false;
+      bool matched = false;
+      for (const Interval& known : it->second) {
+        if (clause.interval().ContainsInterval(known)) {
+          matched = true;
+          break;
+        }
+      }
+      if (!matched) return false;
+    }
+    return true;
+  }
+
+ private:
+  const std::vector<AttributeDomain>& domains_;
+  std::unordered_map<std::string, std::vector<Interval>> by_key_;
+};
+
+}  // namespace
+
 Result<std::vector<Fact>> InferenceEngine::Forward(
     const QueryDescription& query, const RuleSet& rules,
     std::vector<fault::DegradationEvent>* degradations) const {
   IQS_SPAN("infer.forward");
+  const TypeHierarchy& hierarchy = dictionary_->catalog().hierarchy();
   std::vector<Fact> facts = SeedFacts(query);
-  ExpandTypeFacts(&facts);
+  ExpandTypeFacts(&facts, 0);
+  KnownRanges known(dictionary_->active_domains());
+  std::vector<std::string> gained;  // attribute keys that gained a fact
+  known.AddFrom(facts, 0, &gained);
 
-  const std::vector<AttributeDomain>& domains =
-      dictionary_->active_domains();
+  // A fired rule is never tested again: its consequents are already
+  // facts, so firing it again would add nothing.
+  std::vector<char> fired(rules.size(), 0);
+  std::vector<size_t> candidates;
+  std::vector<size_t> retry;  // matched, but the firing faulted
+  std::string pass_candidates;
   bool changed = true;
   int iterations = 0;
   uint64_t skipped_firings = 0;
@@ -118,40 +184,43 @@ Result<std::vector<Fact>> InferenceEngine::Forward(
     // extensional-only rather than failing the query.
     IQS_GOV_CHECKPOINT("infer.fire");
     changed = false;
-    // Known range clauses: every range fact (query conditions included).
-    std::vector<Clause> known;
-    for (const Fact& f : facts) {
-      if (f.kind == Fact::Kind::kRange) known.push_back(f.clause);
+    // Semi-naive step: only an unfired rule with an LHS attribute that
+    // gained a fact last pass can have started to match (matching is
+    // monotone in the known facts). Rules are tested and fired in rule
+    // order, so facts land in the order a full re-match of every rule
+    // would produce.
+    candidates.swap(retry);
+    retry.clear();
+    for (const std::string& key : gained) {
+      for (size_t p : rules.LhsPositions(key)) {
+        if (!fired[p]) candidates.push_back(p);
+      }
     }
-    // Parallel match phase: subsumption tests read only the `known`
-    // snapshot and the active domains, so each rule's verdict lands in
-    // its own slot. The fire phase below stays serial in rule order —
-    // fact insertion order (and thus the derivation) is deterministic and
-    // identical to the serial loop, whose matching could not see facts
-    // added within the same iteration either.
-    const std::vector<Rule>& all_rules = rules.rules();
-    std::vector<char> matched(all_rules.size(), 0);
-    exec::ParallelFor(
-        "exec.infer.match", all_rules.size(), 32,
-        [&all_rules, &matched, &known, &domains](size_t i) {
-          const Rule& rule = all_rules[i];
-          matched[i] = !rule.lhs.empty() &&
-                       LhsSubsumesConditions(rule, known, domains,
-                                             AttributeMatch::kBaseName);
-        });
-    for (size_t i = 0; i < all_rules.size(); ++i) {
+    gained.clear();
+    std::sort(candidates.begin(), candidates.end());
+    candidates.erase(std::unique(candidates.begin(), candidates.end()),
+                     candidates.end());
+    IQS_COUNTER_ADD("infer.forward.candidates",
+                    static_cast<int64_t>(candidates.size()));
+    if (!pass_candidates.empty()) pass_candidates += ",";
+    pass_candidates += std::to_string(candidates.size());
+    // Facts fired in this pass join `known` only after it, so every
+    // candidate is matched against the facts as of the start of the pass.
+    const size_t first_new = facts.size();
+    for (size_t i = 0; i < candidates.size(); ++i) {
       if ((i & 63) == 0) IQS_GOV_CHECKPOINT("infer.match");
-      if (!matched[i]) continue;
-      const Rule& rule = all_rules[i];
-      // Skip-and-log: a faulting rule firing is dropped, the rest of the
-      // fixpoint continues. Checked in this serial loop (not the parallel
-      // match phase) so the skip sequence is deterministic.
+      const Rule& rule = rules.rule(candidates[i]);
+      if (!known.Subsumes(rule)) continue;
+      // Skip-and-log: a faulting rule firing is dropped and the rule stays
+      // pending; the rest of the fixpoint continues.
       if (Status fp = fault::Hit("infer.match"); !fp.ok()) {
         ++skipped_firings;
         skip_reason = fp.message();
+        retry.push_back(candidates[i]);
         IQS_COUNTER_INC("infer.forward.skipped_firings");
         continue;
       }
+      fired[candidates[i]] = 1;
       IQS_COUNTER_INC("infer.forward.firings");
       // Modus ponens: the consequent holds of every answer tuple.
       if (!StartsWith(rule.rhs.clause.attribute(), "isa(")) {
@@ -160,17 +229,18 @@ Result<std::vector<Fact>> InferenceEngine::Forward(
       }
       if (rule.rhs.HasIsaReading()) {
         changed |= AddFact(
-            &facts,
-            TypeFactFor(dictionary_->catalog().hierarchy(),
-                        rule.rhs.isa_variable, rule.rhs.isa_type, {rule.id},
-                        Fact::Origin::kRule));
+            &facts, TypeFactFor(hierarchy, rule.rhs.isa_variable,
+                                rule.rhs.isa_type, {rule.id},
+                                Fact::Origin::kRule));
       }
     }
-    changed |= ExpandTypeFacts(&facts);
+    changed |= ExpandTypeFacts(&facts, first_new);
+    known.AddFrom(facts, first_new, &gained);
   }
   IQS_COUNTER_ADD("infer.forward.iterations", iterations);
   IQS_SPAN_ANNOTATE("facts", static_cast<int64_t>(facts.size()));
   IQS_SPAN_ANNOTATE("iterations", static_cast<int64_t>(iterations));
+  IQS_SPAN_ANNOTATE("candidates", pass_candidates);
   if (skipped_firings > 0) {
     fault::DegradationEvent event{
         "rule-match", fault::DegradeAction::kSkipRule,
@@ -182,64 +252,91 @@ Result<std::vector<Fact>> InferenceEngine::Forward(
   return facts;
 }
 
-namespace {
-
-// Does the rule's consequent guarantee `target`?
-bool RhsImplies(const Rule& rule, const Fact& target,
-                const TypeHierarchy& hierarchy) {
-  if (target.kind == Fact::Kind::kType) {
-    if (!rule.rhs.HasIsaReading()) return false;
-    // Role letters are context-local; membership in the same hierarchy
-    // (enforced by the subtype test) identifies the role.
-    return hierarchy.IsAOrSubtypeOf(rule.rhs.isa_type, target.type_name);
-  }
-  if (!SameAttribute(rule.rhs.clause.attribute(), target.clause.attribute(),
-                     AttributeMatch::kBaseName)) {
-    return false;
-  }
-  return target.clause.interval().ContainsInterval(
-      rule.rhs.clause.interval());
-}
-
-}  // namespace
-
-Result<std::vector<IntensionalStatement>> InferenceEngine::Backward(
-    const QueryDescription& query, const std::vector<Fact>& targets,
-    const RuleSet& rules) const {
+Result<std::vector<InferenceEngine::BackwardMatch>>
+InferenceEngine::MatchBackward(const QueryDescription& query,
+                               const std::vector<Fact>& targets,
+                               const RuleSet& rules) const {
   IQS_SPAN("infer.backward");
   const TypeHierarchy& hierarchy = dictionary_->catalog().hierarchy();
   // Facts read directly off the query (used to decide exactness).
-  std::vector<Fact> seeds = SeedFacts(query);
-  auto is_seed = [&seeds](const Fact& f) {
-    for (const Fact& s : seeds) {
-      if (s.SameContent(f)) return true;
-    }
-    return false;
-  };
+  const std::vector<Fact> seeds = SeedFacts(query);
   // A backward statement is exact when its target covers the whole query
   // restriction: the target is a seed fact and the query has a single
   // restriction condition.
-  bool single_condition = query.conditions.size() == 1;
+  const bool single_condition = query.conditions.size() == 1;
 
-  std::vector<IntensionalStatement> out;
-  for (const Fact& target : targets) {
+  std::vector<BackwardMatch> out;
+  std::vector<size_t> candidates;
+  for (size_t t = 0; t < targets.size(); ++t) {
     IQS_GOV_CHECKPOINT("infer.match");
-    for (const Rule& rule : rules.rules()) {
-      if (rule.lhs.empty()) continue;
-      if (!RhsImplies(rule, target, hierarchy)) continue;
-      IntensionalStatement statement;
-      statement.direction = AnswerDirection::kContainedIn;
-      for (const Clause& c : rule.lhs) {
-        statement.facts.push_back(Fact::Range(c, {rule.id}));
+    const Fact& target = targets[t];
+    candidates.clear();
+    if (target.kind == Fact::Kind::kType) {
+      // A rule's isa reading implies the target when its type is the
+      // target or a subtype of it. Role letters are context-local;
+      // membership in the target's hierarchy identifies the role. A type
+      // outside the hierarchy is implied by nothing.
+      auto types = hierarchy.SubtypesOf(target.type_name);
+      if (types.ok()) {
+        types->push_back(target.type_name);
+        for (const std::string& type : *types) {
+          const std::vector<size_t>& ps = rules.TypePositions(ToLower(type));
+          candidates.insert(candidates.end(), ps.begin(), ps.end());
+        }
+        std::sort(candidates.begin(), candidates.end());
       }
-      statement.rule_ids = {rule.id};
-      statement.target = target;
-      statement.exact = single_condition && is_seed(target);
-      out.push_back(std::move(statement));
+    } else {
+      const std::vector<size_t>& ps =
+          rules.RhsPositions(AttributeKey(target.clause.attribute()));
+      candidates.assign(ps.begin(), ps.end());
+    }
+    IQS_COUNTER_ADD("infer.backward.candidates",
+                    static_cast<int64_t>(candidates.size()));
+    const bool exact =
+        single_condition &&
+        std::any_of(seeds.begin(), seeds.end(),
+                    [&target](const Fact& s) { return s.SameContent(target); });
+    for (size_t p : candidates) {
+      const Rule& rule = rules.rule(p);
+      if (rule.lhs.empty()) continue;
+      if (target.kind == Fact::Kind::kRange &&
+          !target.clause.interval().ContainsInterval(
+              rule.rhs.clause.interval())) {
+        continue;
+      }
+      out.push_back({t, p, exact});
       IQS_COUNTER_INC("infer.backward.firings");
     }
   }
   IQS_SPAN_ANNOTATE("statements", static_cast<int64_t>(out.size()));
+  return out;
+}
+
+IntensionalStatement InferenceEngine::BackwardStatement(
+    const BackwardMatch& match, const std::vector<Fact>& targets,
+    const RuleSet& rules) {
+  const Rule& rule = rules.rule(match.rule);
+  IntensionalStatement statement;
+  statement.direction = AnswerDirection::kContainedIn;
+  for (const Clause& c : rule.lhs) {
+    statement.facts.push_back(Fact::Range(c, {rule.id}));
+  }
+  statement.rule_ids = {rule.id};
+  statement.target = targets[match.target];
+  statement.exact = match.exact;
+  return statement;
+}
+
+Result<std::vector<IntensionalStatement>> InferenceEngine::Backward(
+    const QueryDescription& query, const std::vector<Fact>& targets,
+    const RuleSet& rules) const {
+  IQS_ASSIGN_OR_RETURN(std::vector<BackwardMatch> matches,
+                       MatchBackward(query, targets, rules));
+  std::vector<IntensionalStatement> out;
+  out.reserve(matches.size());
+  for (const BackwardMatch& m : matches) {
+    out.push_back(BackwardStatement(m, targets, rules));
+  }
   return out;
 }
 
@@ -335,38 +432,35 @@ Result<IntensionalAnswer> InferenceEngine::InferWith(
         if (f.origin != Fact::Origin::kHierarchy) targets.push_back(f);
       }
     }
-    IQS_ASSIGN_OR_RETURN(std::vector<IntensionalStatement> statements,
-                         Backward(query, targets, rules));
+    IQS_ASSIGN_OR_RETURN(std::vector<BackwardMatch> matches,
+                         MatchBackward(query, targets, rules));
     // The same rule often matches several targets (a type fact and its
-    // derivation range fact); keep one statement per rule, preferring an
-    // exact target, then a type-fact target (more informative than the
-    // equivalent range fact).
-    std::vector<IntensionalStatement> deduped;
-    auto better_target = [](const IntensionalStatement& a,
-                            const IntensionalStatement& b) {
+    // derivation range fact); keep one statement per rule id, at the
+    // position of its first match, preferring an exact target, then a
+    // type-fact target (more informative than the equivalent range fact).
+    auto better_target = [&targets](const BackwardMatch& a,
+                                    const BackwardMatch& b) {
       if (a.exact != b.exact) return a.exact;
-      if (a.target.kind != b.target.kind) {
-        return a.target.kind == Fact::Kind::kType;
-      }
+      const Fact::Kind ka = targets[a.target].kind;
+      const Fact::Kind kb = targets[b.target].kind;
+      if (ka != kb) return ka == Fact::Kind::kType;
       return false;
     };
-    for (IntensionalStatement& s : statements) {
-      bool replaced = false;
-      for (IntensionalStatement& existing : deduped) {
-        if (existing.rule_ids == s.rule_ids) {
-          if (better_target(s, existing)) existing = std::move(s);
-          replaced = true;
-          break;
-        }
+    std::vector<BackwardMatch> kept;
+    std::unordered_map<int, size_t> slot_of_rule;
+    slot_of_rule.reserve(matches.size());
+    for (const BackwardMatch& m : matches) {
+      auto [slot, fresh] =
+          slot_of_rule.try_emplace(rules.rule(m.rule).id, kept.size());
+      if (fresh) {
+        kept.push_back(m);
+        continue;
       }
-      if (replaced) {
-        IQS_COUNTER_INC("infer.backward.subsumption_eliminated");
-      } else {
-        deduped.push_back(std::move(s));
-      }
+      IQS_COUNTER_INC("infer.backward.subsumption_eliminated");
+      if (better_target(m, kept[slot->second])) kept[slot->second] = m;
     }
-    for (IntensionalStatement& s : deduped) {
-      answer.Add(std::move(s));
+    for (const BackwardMatch& m : kept) {
+      answer.Add(BackwardStatement(m, targets, rules));
     }
   }
   if (answer.empty_proof().has_value()) {

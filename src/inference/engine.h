@@ -44,10 +44,13 @@ class InferenceEngine {
   // Forward inference to fixpoint. Returns every fact holding for each
   // tuple of the answer: the seeded query conditions, rule consequents
   // whose LHS subsumes known facts (after active-domain clipping), the
-  // supertype closure, and derivation expansions of type facts. A rule
-  // whose firing faults (the "infer.match" failpoint) is skipped and
-  // logged; when `degradations` is non-null one summary event per run is
-  // appended for the skipped rules.
+  // supertype closure, and derivation expansions of type facts. The
+  // fixpoint is semi-naive: a pass tests only the rules that have not
+  // fired yet and have an LHS attribute that gained a fact in the pass
+  // before, found through the rule set's index. A rule whose firing
+  // faults (the "infer.match" failpoint) is skipped and logged, and is
+  // retried if another pass runs; when `degradations` is non-null one
+  // summary event per run is appended for the skipped firings.
   Result<std::vector<Fact>> Forward(
       const QueryDescription& query, const RuleSet& rules,
       std::vector<fault::DegradationEvent>* degradations = nullptr) const;
@@ -55,7 +58,8 @@ class InferenceEngine {
   // Backward inference: for each fact in `targets`, finds rules whose RHS
   // implies the fact and emits their LHS as a contained-in description.
   // Statements are exact when the target was seeded from the single query
-  // condition; approximate otherwise.
+  // condition; approximate otherwise. Statements come target by target,
+  // each target's rules in rule order.
   Result<std::vector<IntensionalStatement>> Backward(
       const QueryDescription& query, const std::vector<Fact>& targets,
       const RuleSet& rules) const;
@@ -82,13 +86,35 @@ class InferenceEngine {
       const std::vector<Fact>& facts) const;
 
  private:
+  // One backward step: rule `rule` (a position in the rule set) implies
+  // `targets[target]`.
+  struct BackwardMatch {
+    size_t target;
+    size_t rule;
+    bool exact;
+  };
+
   // Facts directly readable off the query: each condition as a range
   // fact; type facts where a condition matches a subtype derivation.
   std::vector<Fact> SeedFacts(const QueryDescription& query) const;
 
-  // Adds supertype-closure and derivation-expansion facts for any type
-  // facts in `facts`; returns whether anything was added.
-  bool ExpandTypeFacts(std::vector<Fact>* facts) const;
+  // Adds supertype-closure and derivation-expansion facts for the type
+  // facts at index `from` and later (including the ones it adds); returns
+  // whether anything was added.
+  bool ExpandTypeFacts(std::vector<Fact>* facts, size_t from) const;
+
+  // Every (target, rule) pair of a backward step, in Backward's statement
+  // order. Candidates come from the rule index: rules whose isa type is a
+  // type target or one of its subtypes; rules whose RHS attribute matches
+  // a range target.
+  Result<std::vector<BackwardMatch>> MatchBackward(
+      const QueryDescription& query, const std::vector<Fact>& targets,
+      const RuleSet& rules) const;
+
+  // The contained-in statement for one match.
+  static IntensionalStatement BackwardStatement(
+      const BackwardMatch& match, const std::vector<Fact>& targets,
+      const RuleSet& rules);
 
   const DataDictionary* dictionary_;
 };

@@ -39,9 +39,13 @@ bool Fact::SameContent(const Fact& other) const {
          clause.interval() == other.clause.interval();
 }
 
+std::string Fact::ContentString() const {
+  return kind == Kind::kType ? variable + " isa " + type_name
+                             : clause.ToConditionString();
+}
+
 std::string Fact::ToString() const {
-  std::string out = kind == Kind::kType ? variable + " isa " + type_name
-                                        : clause.ToConditionString();
+  std::string out = ContentString();
   if (!rule_ids.empty()) {
     out += "  [";
     for (size_t i = 0; i < rule_ids.size(); ++i) {

@@ -49,6 +49,8 @@ struct Fact {
 
   // "x isa SSBN [R9]" / "Displacement >= 7250".
   std::string ToString() const;
+  // The same without the provenance: "x isa SSBN".
+  std::string ContentString() const;
 };
 
 // Inserts `fact` unless a content-equal fact is present; returns whether

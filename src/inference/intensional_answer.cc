@@ -17,9 +17,7 @@ std::string IntensionalStatement::ToString() const {
       direction == AnswerDirection::kContains ? "answers ⊆ { " : "answers ⊇ { ";
   for (size_t i = 0; i < facts.size(); ++i) {
     if (i > 0) out += " and ";
-    Fact f = facts[i];
-    f.rule_ids.clear();  // provenance shown once, at statement level
-    out += f.ToString();
+    out += facts[i].ContentString();  // provenance shown once, below
   }
   out += " }";
   if (!rule_ids.empty()) {

@@ -157,21 +157,21 @@ Result<Relation> EquiJoin(const Relation& left, const std::string& left_attr,
   IQS_ASSIGN_OR_RETURN(Schema schema, Schema::Create(std::move(attrs)));
   Relation out(left.name() + "*" + right.name(), std::move(schema));
 
-  // Hash the smaller side; Value has no std::hash, so key on the canonical
-  // text rendering per type (distinct values render distinctly).
-  std::multimap<std::string, size_t> index;
+  // Index the right side under an ordering consistent with Value::Compare
+  // (INT 12345678901 meets REAL 12345678901.0), then re-check candidates
+  // with operator==.
+  std::multimap<Value, size_t, ValueKeyLess> index;
   for (size_t r = 0; r < qr.size(); ++r) {
     const Value& v = qr.row(r).at(ri);
     if (v.is_null()) continue;
-    index.emplace(v.ToString(), r);
+    index.emplace(v, r);
   }
   for (const Tuple& lt : ql.rows()) {
     const Value& v = lt.at(li);
     if (v.is_null()) continue;
-    auto [begin, end] = index.equal_range(v.ToString());
+    auto [begin, end] = index.equal_range(v);
     for (auto it = begin; it != end; ++it) {
-      // Guard against the rare text-rendering collision across numeric
-      // types by re-checking equality on Values.
+      // The key order merges INTs beyond 2^53; equality is Compare's.
       if (qr.row(it->second).at(ri) != v) continue;
       out.AppendUnchecked(Tuple::Concat(lt, qr.row(it->second)));
     }

@@ -166,6 +166,24 @@ int Value::Compare(const Value& other) const {
   }
 }
 
+bool ValueKeyLess::operator()(const Value& a, const Value& b) const {
+  // INT and REAL share one rank; other types order by type first.
+  auto rank = [](ValueType t) {
+    return t == ValueType::kReal ? ValueType::kInt : t;
+  };
+  ValueType ra = rank(a.type());
+  ValueType rb = rank(b.type());
+  if (ra != rb) return ra < rb;
+  if (ra == ValueType::kInt) {
+    auto as_double = [](const Value& v) {
+      return v.type() == ValueType::kInt ? static_cast<double>(v.AsInt())
+                                         : v.AsReal();
+    };
+    return as_double(a) < as_double(b);
+  }
+  return a.Compare(b) < 0;
+}
+
 std::ostream& operator<<(std::ostream& os, const Value& value) {
   return os << value.ToString();
 }

@@ -80,6 +80,16 @@ class Value {
   Repr data_;
 };
 
+// A strict weak ordering for keying equality lookups such as join
+// indexes. It is coarser than Value::Compare: values equal under Compare
+// are never ordered apart, so INT 12345678901 and REAL 12345678901.0 share
+// a key (their text renderings differ). Numbers order by their double
+// image, which also merges distinct INTs beyond 2^53, so a lookup must
+// re-check its candidates with operator==.
+struct ValueKeyLess {
+  bool operator()(const Value& a, const Value& b) const;
+};
+
 inline bool operator==(const Value& a, const Value& b) {
   return a.Compare(b) == 0;
 }

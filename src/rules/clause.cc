@@ -1,5 +1,7 @@
 #include "rules/clause.h"
 
+#include "common/string_util.h"
+
 namespace iqs {
 
 Clause Clause::Equals(std::string attribute, Value value) {
@@ -49,6 +51,12 @@ std::string Clause::ToConditionString() const {
     out = attribute_ + " unrestricted";
   }
   return out;
+}
+
+std::string AttributeKey(std::string_view attribute) {
+  size_t pos = attribute.rfind('.');
+  return ToLower(pos == std::string_view::npos ? attribute
+                                               : attribute.substr(pos + 1));
 }
 
 }  // namespace iqs

@@ -2,6 +2,7 @@
 #define IQS_RULES_CLAUSE_H_
 
 #include <string>
+#include <string_view>
 
 #include "rules/interval.h"
 
@@ -50,6 +51,12 @@ class Clause {
   std::string attribute_;
   Interval interval_;
 };
+
+// The lower-cased base name of an attribute ("displacement" from
+// "CLASS.Displacement", "x.displacement" or "DISPLACEMENT"). Two attribute
+// names match under AttributeMatch::kBaseName exactly when their keys are
+// equal; RuleSet indexes its rules by these keys.
+std::string AttributeKey(std::string_view attribute);
 
 }  // namespace iqs
 

@@ -6,6 +6,18 @@
 
 namespace iqs {
 
+namespace {
+
+const std::vector<size_t>& Probe(
+    const std::unordered_map<std::string, std::vector<size_t>>& index,
+    const std::string& key) {
+  static const std::vector<size_t> kNone;
+  auto it = index.find(key);
+  return it == index.end() ? kNone : it->second;
+}
+
+}  // namespace
+
 std::string Consequent::ToString() const {
   if (HasIsaReading()) {
     return isa_variable + " isa " + isa_type;
@@ -36,27 +48,51 @@ void RuleSet::Add(Rule rule) {
   }
   next_id_ = std::max(next_id_, rule.id + 1);
   rules_.push_back(std::move(rule));
+  IndexRule(rules_.size() - 1);
 }
 
 void RuleSet::AddAll(std::vector<Rule> rules) {
   for (Rule& r : rules) Add(std::move(r));
 }
 
+void RuleSet::IndexRule(size_t position) {
+  const Rule& r = rules_[position];
+  for (const Clause& c : r.lhs) {
+    std::vector<size_t>& list = by_lhs_[AttributeKey(c.attribute())];
+    // A rule with two clauses over one attribute is listed once.
+    if (list.empty() || list.back() != position) list.push_back(position);
+  }
+  by_rhs_[AttributeKey(r.rhs.clause.attribute())].push_back(position);
+  by_type_[ToLower(r.rhs.isa_type)].push_back(position);
+}
+
+const std::vector<size_t>& RuleSet::LhsPositions(const std::string& key) const {
+  return Probe(by_lhs_, key);
+}
+
+const std::vector<size_t>& RuleSet::RhsPositions(const std::string& key) const {
+  return Probe(by_rhs_, key);
+}
+
+const std::vector<size_t>& RuleSet::TypePositions(
+    const std::string& type_key) const {
+  return Probe(by_type_, type_key);
+}
+
 std::vector<const Rule*> RuleSet::WithRhsType(
     const std::string& type_name) const {
   std::vector<const Rule*> out;
-  for (const Rule& r : rules_) {
-    if (EqualsIgnoreCase(r.rhs.isa_type, type_name)) out.push_back(&r);
-  }
+  for (size_t p : TypePositions(ToLower(type_name))) out.push_back(&rules_[p]);
   return out;
 }
 
 std::vector<const Rule*> RuleSet::WithRhsAttribute(
     const std::string& attribute) const {
+  // The index is keyed by base name; keep the full-name matches.
   std::vector<const Rule*> out;
-  for (const Rule& r : rules_) {
-    if (EqualsIgnoreCase(r.rhs.clause.attribute(), attribute)) {
-      out.push_back(&r);
+  for (size_t p : RhsPositions(AttributeKey(attribute))) {
+    if (EqualsIgnoreCase(rules_[p].rhs.clause.attribute(), attribute)) {
+      out.push_back(&rules_[p]);
     }
   }
   return out;
@@ -65,10 +101,10 @@ std::vector<const Rule*> RuleSet::WithRhsAttribute(
 std::vector<const Rule*> RuleSet::WithLhsAttribute(
     const std::string& attribute) const {
   std::vector<const Rule*> out;
-  for (const Rule& r : rules_) {
-    for (const Clause& c : r.lhs) {
+  for (size_t p : LhsPositions(AttributeKey(attribute))) {
+    for (const Clause& c : rules_[p].lhs) {
       if (EqualsIgnoreCase(c.attribute(), attribute)) {
-        out.push_back(&r);
+        out.push_back(&rules_[p]);
         break;
       }
     }
@@ -83,10 +119,18 @@ size_t RuleSet::Prune(int64_t min_support) {
                                 return r.support < min_support;
                               }),
                rules_.end());
+  if (rules_.size() != before) {
+    // Positions shifted: rebuild.
+    by_lhs_.clear();
+    by_rhs_.clear();
+    by_type_.clear();
+    for (size_t p = 0; p < rules_.size(); ++p) IndexRule(p);
+  }
   return before - rules_.size();
 }
 
 void RuleSet::Renumber() {
+  // The index holds positions, not ids, so it stays valid.
   int id = 1;
   for (Rule& r : rules_) r.id = id++;
   next_id_ = id;

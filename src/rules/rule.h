@@ -2,6 +2,7 @@
 #define IQS_RULES_RULE_H_
 
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "rules/clause.h"
@@ -52,8 +53,12 @@ struct Rule {
   friend bool operator==(const Rule&, const Rule&) = default;
 };
 
-// An ordered collection of rules with stable ids and lookup by the parts
-// inference needs.
+// An ordered collection of rules with stable ids, indexed by the parts
+// inference looks rules up by: the base attribute of each LHS clause, the
+// base attribute of the RHS clause, and the RHS isa type. Index entries
+// are positions into rules(), each list in rule order; every key is
+// lower-cased (attributes through AttributeKey). Add, Prune and Renumber
+// keep the index current.
 class RuleSet {
  public:
   RuleSet() = default;
@@ -76,6 +81,13 @@ class RuleSet {
   // Rules with some LHS clause over `attribute`.
   std::vector<const Rule*> WithLhsAttribute(const std::string& attribute) const;
 
+  // Index probes: positions of the rules with an LHS clause whose
+  // attribute key is `key`, whose RHS clause's attribute key is `key`, or
+  // whose isa type lower-cases to `type_key`. Empty when none.
+  const std::vector<size_t>& LhsPositions(const std::string& key) const;
+  const std::vector<size_t>& RhsPositions(const std::string& key) const;
+  const std::vector<size_t>& TypePositions(const std::string& type_key) const;
+
   // Drops rules with support < min_support; returns how many were removed.
   size_t Prune(int64_t min_support);
 
@@ -85,8 +97,15 @@ class RuleSet {
   std::string ToString() const;
 
  private:
+  using Index = std::unordered_map<std::string, std::vector<size_t>>;
+
+  void IndexRule(size_t position);
+
   std::vector<Rule> rules_;
   int next_id_ = 1;
+  Index by_lhs_;
+  Index by_rhs_;
+  Index by_type_;
 };
 
 }  // namespace iqs

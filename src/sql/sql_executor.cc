@@ -107,10 +107,10 @@ Result<Relation> SqlExecutor::JoinOn(const Relation& left,
                right.schema().attributes().end());
   IQS_ASSIGN_OR_RETURN(Schema schema, Schema::Create(std::move(attrs)));
   Relation out(left.name() + "*" + right.name(), std::move(schema));
-  std::multimap<std::string, size_t> index;
+  std::multimap<Value, size_t, ValueKeyLess> index;
   for (size_t r = 0; r < right.size(); ++r) {
     const Value& v = right.row(r).at(ri);
-    if (!v.is_null()) index.emplace(v.ToString(), r);
+    if (!v.is_null()) index.emplace(v, r);
   }
   // Governed at probe-batch granularity: every 256 probe rows the join
   // charges its freshly materialized output and re-checks the context,
@@ -126,7 +126,7 @@ Result<Relation> SqlExecutor::JoinOn(const Relation& left,
     const Tuple& lt = left.row(l);
     const Value& v = lt.at(li);
     if (v.is_null()) continue;
-    auto [begin, end] = index.equal_range(v.ToString());
+    auto [begin, end] = index.equal_range(v);
     for (auto it = begin; it != end; ++it) {
       if (right.row(it->second).at(ri) != v) continue;
       out.AppendUnchecked(Tuple::Concat(lt, right.row(it->second)));

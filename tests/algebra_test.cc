@@ -106,6 +106,17 @@ TEST(AlgebraTest, EquiJoinDropsNullsAndNonMatches) {
   EXPECT_EQ(out.size(), 1u);
 }
 
+TEST(AlgebraTest, EquiJoinMatchesMixedIntRealKeys) {
+  // Keys equal under Value::Compare meet even when their text differs.
+  Relation left = MakeRelation("L", Schema({{"a", ValueType::kInt, false}}),
+                               {{"12345678901"}, {"7"}, {"3"}});
+  Relation right = MakeRelation("R", Schema({{"b", ValueType::kReal, false}}),
+                                {{"12345678901.0"}, {"7.0"}, {"4.5"}});
+  ASSERT_OK_AND_ASSIGN(Relation out, EquiJoin(left, "a", right, "b"));
+  EXPECT_EQ(ColumnText(out, "L.a"),
+            (std::vector<std::string>{"12345678901", "7"}));
+}
+
 TEST(AlgebraTest, UnionDifferenceIntersect) {
   Relation a = MakeRelation("A", Schema({{"x", ValueType::kInt, false}}),
                             {{"1"}, {"2"}, {"2"}});

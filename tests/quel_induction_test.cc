@@ -3,6 +3,8 @@
 
 #include "induction/quel_induction.h"
 
+#include <ostream>
+
 #include "gtest/gtest.h"
 #include "induction/rule_induction.h"
 #include "testbed/fleet_generator.h"
@@ -26,6 +28,13 @@ struct SchemeCase {
   const char* y;
   int64_t nc;
 };
+
+// Names each case by its scheme and support threshold, e.g.
+// "SUBMARINE Id-Class Nc3", so the registered ctest names are stable
+// across builds rather than raw struct bytes with pointer values.
+void PrintTo(const SchemeCase& c, std::ostream* os) {
+  *os << c.relation << " " << c.x << "-" << c.y << " Nc" << c.nc;
+}
 
 class QuelEquivalence : public ::testing::TestWithParam<SchemeCase> {};
 

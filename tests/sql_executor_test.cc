@@ -27,6 +27,26 @@ class SqlExecutorTest : public ::testing::Test {
   std::unique_ptr<SqlExecutor> executor_;
 };
 
+// Equality joins must agree with Value::Compare: INT 12345678901 equals
+// REAL 12345678901.0 even though the two render differently as text.
+TEST(SqlExecutorJoinTest, MixedIntRealKeysJoinLikeTheirRangeForm) {
+  Database db;
+  ASSERT_OK(db.AddRelation(testing_util::MakeRelation(
+      "L", Schema({{"A", ValueType::kInt, false}}),
+      {{"12345678901"}, {"7"}, {"3"}})));
+  ASSERT_OK(db.AddRelation(testing_util::MakeRelation(
+      "R", Schema({{"B", ValueType::kReal, false}}),
+      {{"12345678901.0"}, {"7.0"}, {"4.5"}})));
+  SqlExecutor executor(&db);
+  ASSERT_OK_AND_ASSIGN(
+      Relation ranged,
+      executor.ExecuteSql("SELECT A FROM L, R WHERE L.A >= R.B AND L.A <= R.B"));
+  ASSERT_OK_AND_ASSIGN(Relation equal,
+                       executor.ExecuteSql("SELECT A FROM L, R WHERE L.A = R.B"));
+  EXPECT_EQ(ranged.size(), 2u);
+  EXPECT_EQ(ColumnText(equal, "A"), ColumnText(ranged, "A"));
+}
+
 TEST_F(SqlExecutorTest, SelectStarSingleTable) {
   Relation out = Run("SELECT * FROM TYPE");
   EXPECT_EQ(out.size(), 2u);

@@ -4,6 +4,7 @@
 // the relational layer, agreement is strong evidence both are right.
 
 #include <algorithm>
+#include <ostream>
 
 #include "gtest/gtest.h"
 #include "quel/quel_session.h"
@@ -19,6 +20,11 @@ struct EquivalenceCase {
   const char* sql;
   const char* quel;  // script; the last retrieve is the result
 };
+
+// Names each case by its label. Without this gtest prints the raw
+// struct bytes, pointers included, and the ctest names registered by
+// gtest_discover_tests change from build to build.
+void PrintTo(const EquivalenceCase& c, std::ostream* os) { *os << c.label; }
 
 class SqlQuelEquivalence : public ::testing::TestWithParam<EquivalenceCase> {
  protected:
