@@ -10,6 +10,7 @@
 #include "obs/query_log.h"
 #include "obs/trace.h"
 #include "rules/subsumption.h"
+#include "sql/conjunct.h"
 
 namespace iqs {
 
@@ -76,23 +77,6 @@ Result<std::pair<std::string, const Relation*>> OwnerTable(
   return found;
 }
 
-// Coerces a literal operand for a clause over `type`, preserving numeric
-// spellings against CHAR columns.
-Result<Value> CoerceForClause(const SqlOperand& operand, ValueType type) {
-  const Value& v = operand.literal;
-  if (v.is_null() || v.type() == type) return v;
-  if (type == ValueType::kString) {
-    return Value::String(operand.raw.empty() ? v.ToString() : operand.raw);
-  }
-  if (type == ValueType::kReal && v.type() == ValueType::kInt) {
-    return Value::Real(static_cast<double>(v.AsInt()));
-  }
-  if (type == ValueType::kDate && v.type() == ValueType::kString) {
-    return Value::FromText(ValueType::kDate, v.AsString());
-  }
-  return v;  // numeric comparisons across int/real are fine as-is
-}
-
 }  // namespace
 
 Result<QueryDescription> IntensionalQueryProcessor::Describe(
@@ -113,65 +97,29 @@ Result<QueryDescription> IntensionalQueryProcessor::Describe(
                          LookupRelation(*db_, virtuals, table.name));
     description.object_types.push_back(rel->name());
   }
+  // Column-vs-literal restrictions only; joins and literal-vs-literal
+  // comparisons are not answer-set characterizations.
   for (const SqlExpr* conjunct : TopLevelConjuncts(stmt.where.get())) {
-    if (conjunct->kind == SqlExpr::Kind::kComparison) {
-      // Column-vs-literal restrictions only; joins and literal-vs-literal
-      // comparisons are not answer-set characterizations.
-      const SqlOperand* col = nullptr;
-      const SqlOperand* lit = nullptr;
-      CompareOp op = conjunct->op;
-      if (conjunct->lhs.kind == SqlOperand::Kind::kColumn &&
-          conjunct->rhs.kind == SqlOperand::Kind::kLiteral) {
-        col = &conjunct->lhs;
-        lit = &conjunct->rhs;
-      } else if (conjunct->lhs.kind == SqlOperand::Kind::kLiteral &&
-                 conjunct->rhs.kind == SqlOperand::Kind::kColumn) {
-        col = &conjunct->rhs;
-        lit = &conjunct->lhs;
-        switch (op) {  // mirror the operator
-          case CompareOp::kLt: op = CompareOp::kGt; break;
-          case CompareOp::kLe: op = CompareOp::kGe; break;
-          case CompareOp::kGt: op = CompareOp::kLt; break;
-          case CompareOp::kGe: op = CompareOp::kLe; break;
-          default: break;
-        }
-      } else {
-        continue;
-      }
-      if (op == CompareOp::kNe || op == CompareOp::kLike) {
-        continue;  // not a single interval
-      }
-      IQS_ASSIGN_OR_RETURN(
-          auto owner, OwnerTable(*db_, virtuals, stmt.from, col->column));
-      IQS_ASSIGN_OR_RETURN(size_t idx, owner.second->schema().IndexOf(
-                                           col->column.name));
-      ValueType type = owner.second->schema().attribute(idx).type;
-      IQS_ASSIGN_OR_RETURN(Value constant, CoerceForClause(*lit, type));
-      IQS_ASSIGN_OR_RETURN(Interval interval,
-                           Interval::FromCompare(op, std::move(constant)));
-      description.conditions.push_back(Clause(
-          owner.first + "." + owner.second->schema().attribute(idx).name,
-          std::move(interval)));
-    } else if (conjunct->kind == SqlExpr::Kind::kBetween) {
-      if (conjunct->lhs.kind != SqlOperand::Kind::kColumn) continue;
-      if (conjunct->low.kind != SqlOperand::Kind::kLiteral ||
-          conjunct->high.kind != SqlOperand::Kind::kLiteral) {
-        continue;
-      }
-      IQS_ASSIGN_OR_RETURN(
-          auto owner,
-          OwnerTable(*db_, virtuals, stmt.from, conjunct->lhs.column));
-      IQS_ASSIGN_OR_RETURN(size_t idx, owner.second->schema().IndexOf(
-                                           conjunct->lhs.column.name));
-      ValueType type = owner.second->schema().attribute(idx).type;
-      IQS_ASSIGN_OR_RETURN(Value lo, CoerceForClause(conjunct->low, type));
-      IQS_ASSIGN_OR_RETURN(Value hi, CoerceForClause(conjunct->high, type));
-      IQS_ASSIGN_OR_RETURN(Interval interval,
-                           Interval::Closed(std::move(lo), std::move(hi)));
-      description.conditions.push_back(Clause(
-          owner.first + "." + owner.second->schema().attribute(idx).name,
-          std::move(interval)));
+    std::optional<LiteralRestriction> restriction =
+        MatchLiteralRestriction(*conjunct);
+    if (!restriction.has_value()) continue;
+    if (!restriction->between && (restriction->op == CompareOp::kNe ||
+                                  restriction->op == CompareOp::kLike)) {
+      continue;  // not a single interval
     }
+    IQS_ASSIGN_OR_RETURN(
+        auto owner,
+        OwnerTable(*db_, virtuals, stmt.from, *restriction->column));
+    IQS_ASSIGN_OR_RETURN(size_t idx, owner.second->schema().IndexOf(
+                                         restriction->column->name));
+    const AttributeDef& def = owner.second->schema().attribute(idx);
+    // A literal the column cannot compare with fails the executor's bind
+    // step, which reports it; it characterizes nothing here.
+    Result<std::pair<Value, Value>> bounds = restriction->Coerce(def.type);
+    if (!bounds.ok()) continue;
+    IQS_ASSIGN_OR_RETURN(Interval interval, restriction->ToInterval(*bounds));
+    description.conditions.push_back(
+        Clause(owner.first + "." + def.name, std::move(interval)));
   }
   return description;
 }

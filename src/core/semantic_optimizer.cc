@@ -10,6 +10,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "rules/subsumption.h"
+#include "sql/conjunct.h"
 
 namespace iqs {
 
@@ -20,180 +21,13 @@ std::string AttrBaseName(const std::string& attribute) {
   return pos == std::string::npos ? attribute : attribute.substr(pos + 1);
 }
 
-// Mirrors the executor's literal coercion (numeric literals against CHAR
-// columns keep their spelling, int widens to real, strings parse as
-// dates) so the rewrite reasons over exactly the values the scan would
-// compare.
-Result<Value> CoerceForColumn(const Value& literal, const std::string& raw,
-                              ValueType type) {
-  if (literal.is_null()) return literal;
-  if (literal.type() == type) return literal;
-  switch (type) {
-    case ValueType::kString:
-      return Value::String(raw.empty() ? literal.ToString() : raw);
-    case ValueType::kReal:
-      if (literal.type() == ValueType::kInt) {
-        return Value::Real(static_cast<double>(literal.AsInt()));
-      }
-      break;
-    case ValueType::kInt:
-      if (literal.type() == ValueType::kReal) return literal;
-      if (literal.type() == ValueType::kString) {
-        return Value::FromText(ValueType::kInt, literal.AsString());
-      }
-      break;
-    case ValueType::kDate:
-      if (literal.type() == ValueType::kString) {
-        return Value::FromText(ValueType::kDate, literal.AsString());
-      }
-      break;
-    default:
-      break;
-  }
-  return Status::TypeError("uncoercible literal");
-}
-
-// A column resolved to its owning FROM entry and schema slot, the way the
-// executor's bind step would resolve it: qualified refs match the entry's
-// effective name (alias wins); unqualified refs must resolve in exactly
-// one entry.
-struct ColumnSite {
-  size_t table = 0;
-  size_t column = 0;
+// A classified top-level conjunct (sql/conjunct.h), plus what the
+// rewrite learns about it: whether it is a point seed with a complete
+// rule family, and that family's rule ids.
+struct BoundConjunct : ClassifiedConjunct {
+  bool has_family = false;
+  std::vector<int> family_ids;
 };
-
-std::optional<ColumnSite> ResolveSite(const Database& db,
-                                      const std::vector<TableRef>& from,
-                                      const ColumnRef& ref) {
-  std::optional<ColumnSite> found;
-  for (size_t i = 0; i < from.size(); ++i) {
-    if (!ref.qualifier.empty() &&
-        !EqualsIgnoreCase(ref.qualifier, from[i].effective_name())) {
-      continue;
-    }
-    Result<const Relation*> rel = db.Get(from[i].name);
-    if (!rel.ok()) return std::nullopt;  // executor will error identically
-    Result<size_t> idx = (*rel)->schema().IndexOf(ref.name);
-    if (!idx.ok()) continue;
-    if (found.has_value()) return std::nullopt;  // ambiguous
-    found = ColumnSite{i, *idx};
-  }
-  return found;
-}
-
-bool NumericType(ValueType t) {
-  return t == ValueType::kInt || t == ValueType::kReal;
-}
-
-// A top-level WHERE conjunct as the optimizer understands it. `safe`
-// means the conjunct cannot raise at bind or eval time (columns resolve,
-// literals coerce, compared domains are comparable) — the precondition
-// for any rewrite of the statement. `recognized` additionally means the
-// conjunct restricts one column to one interval.
-struct BoundConjunct {
-  const SqlExpr* expr = nullptr;
-  bool safe = false;
-  bool recognized = false;
-  size_t table = 0;        // owning FROM entry (recognized only)
-  std::string attribute;   // canonical schema spelling (recognized only)
-  Interval interval;       // admitted values (recognized only)
-  bool has_family = false;          // point seed with a complete family
-  std::vector<int> family_ids;      // ids of those families' rules
-};
-
-BoundConjunct Classify(const Database& db, const std::vector<TableRef>& from,
-                       const SqlExpr* expr) {
-  BoundConjunct b;
-  b.expr = expr;
-  if (expr->kind == SqlExpr::Kind::kComparison) {
-    if (expr->lhs.kind == SqlOperand::Kind::kColumn &&
-        expr->rhs.kind == SqlOperand::Kind::kColumn) {
-      // Join / column-column comparison: safe when both sides resolve to
-      // comparable domains (ApplyCompare never errors then).
-      std::optional<ColumnSite> l = ResolveSite(db, from, expr->lhs.column);
-      std::optional<ColumnSite> r = ResolveSite(db, from, expr->rhs.column);
-      if (!l.has_value() || !r.has_value()) return b;
-      ValueType lt =
-          (*db.Get(from[l->table].name))->schema().attribute(l->column).type;
-      ValueType rt =
-          (*db.Get(from[r->table].name))->schema().attribute(r->column).type;
-      if (lt == rt || (NumericType(lt) && NumericType(rt))) b.safe = true;
-      return b;
-    }
-    const SqlOperand* col = nullptr;
-    const SqlOperand* lit = nullptr;
-    CompareOp op = expr->op;
-    if (expr->lhs.kind == SqlOperand::Kind::kColumn &&
-        expr->rhs.kind == SqlOperand::Kind::kLiteral) {
-      col = &expr->lhs;
-      lit = &expr->rhs;
-    } else if (expr->rhs.kind == SqlOperand::Kind::kColumn &&
-               expr->lhs.kind == SqlOperand::Kind::kLiteral) {
-      col = &expr->rhs;
-      lit = &expr->lhs;
-      switch (op) {  // mirror
-        case CompareOp::kLt: op = CompareOp::kGt; break;
-        case CompareOp::kLe: op = CompareOp::kGe; break;
-        case CompareOp::kGt: op = CompareOp::kLt; break;
-        case CompareOp::kGe: op = CompareOp::kLe; break;
-        default: break;
-      }
-    } else {
-      return b;  // literal-literal: could TypeError at eval
-    }
-    std::optional<ColumnSite> site = ResolveSite(db, from, col->column);
-    if (!site.has_value()) return b;
-    const Relation& rel = **db.Get(from[site->table].name);
-    const AttributeDef& def = rel.schema().attribute(site->column);
-    Result<Value> coerced = CoerceForColumn(lit->literal, lit->raw, def.type);
-    if (!coerced.ok()) return b;
-    if (coerced->is_null()) {
-      b.safe = true;  // null comparisons are false, never an error
-      return b;
-    }
-    if (op == CompareOp::kNe || op == CompareOp::kLike) {
-      b.safe = true;  // total but not interval-representable
-      return b;
-    }
-    Result<Interval> interval = Interval::FromCompare(op, *coerced);
-    if (!interval.ok()) {
-      b.safe = true;
-      return b;
-    }
-    b.safe = true;
-    b.recognized = true;
-    b.table = site->table;
-    b.attribute = def.name;
-    b.interval = *interval;
-    return b;
-  }
-  if (expr->kind == SqlExpr::Kind::kBetween) {
-    if (expr->lhs.kind != SqlOperand::Kind::kColumn ||
-        expr->low.kind != SqlOperand::Kind::kLiteral ||
-        expr->high.kind != SqlOperand::Kind::kLiteral) {
-      return b;
-    }
-    std::optional<ColumnSite> site = ResolveSite(db, from, expr->lhs.column);
-    if (!site.has_value()) return b;
-    const Relation& rel = **db.Get(from[site->table].name);
-    const AttributeDef& def = rel.schema().attribute(site->column);
-    Result<Value> lo = CoerceForColumn(expr->low.literal, expr->low.raw,
-                                       def.type);
-    Result<Value> hi = CoerceForColumn(expr->high.literal, expr->high.raw,
-                                       def.type);
-    if (!lo.ok() || !hi.ok()) return b;
-    b.safe = true;
-    if (lo->is_null() || hi->is_null() || *lo > *hi) return b;  // empty/false
-    Result<Interval> interval = Interval::Closed(*lo, *hi);
-    if (!interval.ok()) return b;
-    b.recognized = true;
-    b.table = site->table;
-    b.attribute = def.name;
-    b.interval = *interval;
-    return b;
-  }
-  return b;  // OR / NOT subtrees: not analyzed, may error at eval
-}
 
 }  // namespace
 
@@ -284,7 +118,8 @@ Result<RewritePlan> SemanticOptimizer::Rewrite(
   bound.reserve(conjuncts.size());
   bool all_safe = true;
   for (const SqlExpr* expr : conjuncts) {
-    bound.push_back(Classify(db, stmt.from, expr));
+    bound.push_back(
+        BoundConjunct{ClassifyConjunct(db, stmt.from, *expr), false, {}});
     all_safe = all_safe && bound.back().safe;
   }
   // Every rewrite changes which rows get loaded or evaluated, so the pass
@@ -304,31 +139,23 @@ Result<RewritePlan> SemanticOptimizer::Rewrite(
   std::vector<bool> load_bearing(n, false);
   std::vector<SqlExprPtr> narrows;
   std::set<std::pair<size_t, std::string>> narrowed;
-  std::map<std::pair<size_t, std::string>, bool> null_cache;
 
   // Nulls do not participate in induction, so "seed ⇒ X ∈ hull" only
   // covers rows with non-null X; eliminating or adding a conjunct over a
-  // nullable column could flip a null row in or out of the answer.
+  // nullable column could flip a null row in or out of the answer. The
+  // columnar snapshot's zone maps count non-null entries per block, so
+  // the proof costs O(blocks), not a row scan.
   auto column_is_nullable = [&](size_t table, const std::string& attr) {
-    auto key = std::make_pair(table, ToLower(attr));
-    auto it = null_cache.find(key);
-    if (it != null_cache.end()) return it->second;
-    bool nullable = true;
-    Result<const Relation*> rel = db.Get(stmt.from[table].name);
-    if (rel.ok()) {
-      Result<size_t> idx = (*rel)->schema().IndexOf(attr);
-      if (idx.ok()) {
-        nullable = false;
-        for (const Tuple& row : (*rel)->rows()) {
-          if (row.at(*idx).is_null()) {
-            nullable = true;
-            break;
-          }
-        }
-      }
+    Result<std::shared_ptr<const ColumnarRelation>> snap =
+        db.ColumnarSnapshot(stmt.from[table].name);
+    if (!snap.ok()) return true;
+    Result<size_t> idx = (*snap)->schema().IndexOf(attr);
+    if (!idx.ok()) return true;
+    size_t non_null = 0;
+    for (size_t b = 0; b < (*snap)->block_count(); ++b) {
+      non_null += (*snap)->stats(*idx, b).non_null;
     }
-    null_cache[key] = nullable;
-    return nullable;
+    return non_null != (*snap)->row_count();
   };
 
   for (size_t ci = 0; ci < n && !plan.proven_empty; ++ci) {

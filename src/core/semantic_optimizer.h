@@ -61,7 +61,7 @@ class SemanticOptimizer {
   //      (InferenceEngine::DetectContradiction), the answer is provably
   //      empty and the scan is skipped;
   //  (c) scan narrowing — the implied hull is appended as a BETWEEN
-  //      conjunct, which the executor's index fast path can drive;
+  //      conjunct, which the executor's index seed and batch scan use;
   //  (d) intensional-only answering (mode == kIntensional) — when every
   //      surviving conjunct is characterized by a complete family, the
   //      scan is skipped and the answer comes from the rules alone.

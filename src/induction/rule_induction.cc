@@ -8,7 +8,6 @@
 #include "exec/parallel.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "relational/algebra.h"
 
 namespace iqs {
 namespace {
@@ -297,21 +296,7 @@ Result<std::vector<Rule>> InduceScheme(const Relation& relation,
                                        const std::string& y_attr,
                                        const InductionConfig& config) {
   InductionStats stats;
-  return InduceSchemeWithStats(relation, x_attr, y_attr, config, &stats);
-}
-
-Result<std::vector<Rule>> InduceSchemeWithStats(const Relation& relation,
-                                                const std::string& x_attr,
-                                                const std::string& y_attr,
-                                                const InductionConfig& config,
-                                                InductionStats* stats) {
-  if (ColumnarEnabled()) {
-    IQS_ASSIGN_OR_RETURN(ColumnarRelation transposed,
-                         ColumnarRelation::Transpose(relation));
-    return InduceSchemeColumnarWithStats(transposed, x_attr, y_attr, config,
-                                         stats);
-  }
-  return InduceSchemeRowsWithStats(relation, x_attr, y_attr, config, stats);
+  return InduceSchemeRowsWithStats(relation, x_attr, y_attr, config, &stats);
 }
 
 Result<std::vector<Rule>> InduceSchemeRowsWithStats(

@@ -29,7 +29,8 @@ namespace iqs {
 // those names verbatim (role-qualified names like "x.Class" pass through).
 // Rules are returned in ascending X order with scheme "X->Y" and
 // source_relation = relation.name(); ids are left 0 for the caller's
-// RuleSet to assign.
+// RuleSet to assign. This row-at-a-time form is the reference; the ILS
+// runs the columnar form below.
 Result<std::vector<Rule>> InduceScheme(const Relation& relation,
                                        const std::string& x_attr,
                                        const std::string& y_attr,
@@ -44,17 +45,9 @@ struct InductionStats {
   size_t pruned = 0;               // rules dropped in step 4
 };
 
-// Dispatches to the columnar implementation when ColumnarEnabled()
-// (transposing `relation` on the fly), else to the row reference.
-Result<std::vector<Rule>> InduceSchemeWithStats(const Relation& relation,
-                                                const std::string& x_attr,
-                                                const std::string& y_attr,
-                                                const InductionConfig& config,
-                                                InductionStats* stats);
-
-// The row-at-a-time reference implementation — always available so the
-// differential suite (and the scaling bench) can pit the two paths
-// against each other regardless of the process-wide toggle.
+// InduceScheme with its diagnostic counters: the row-at-a-time
+// reference implementation, which the differential suite and the
+// scaling bench hold the columnar path below to.
 Result<std::vector<Rule>> InduceSchemeRowsWithStats(
     const Relation& relation, const std::string& x_attr,
     const std::string& y_attr, const InductionConfig& config,

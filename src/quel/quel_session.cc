@@ -312,7 +312,7 @@ Result<QuelSession::ExecutionResult> QuelSession::ExecuteRetrieve(
   // stored relation runs as a batch scan over the columnar snapshot.
   ExecutionResult out;
   bool scanned = false;
-  if (bindings.size() == 1 && stmt.where != nullptr && ColumnarEnabled()) {
+  if (bindings.size() == 1 && stmt.where != nullptr) {
     IQS_ASSIGN_OR_RETURN(
         scanned,
         TryColumnarRetrieve(stmt, bindings[0], sources, &result, &out));

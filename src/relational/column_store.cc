@@ -1,6 +1,5 @@
 #include "relational/column_store.h"
 
-#include <atomic>
 #include <utility>
 
 #include "exec/exec_context.h"
@@ -9,8 +8,6 @@
 namespace iqs {
 
 namespace {
-
-std::atomic<bool> g_columnar_enabled{true};
 
 int Sign3(double d) { return d < 0 ? -1 : (d > 0 ? 1 : 0); }
 
@@ -31,14 +28,6 @@ Column::Storage StorageFor(ValueType type) {
 }
 
 }  // namespace
-
-bool ColumnarEnabled() {
-  return g_columnar_enabled.load(std::memory_order_relaxed);
-}
-
-void SetColumnarEnabled(bool enabled) {
-  g_columnar_enabled.store(enabled, std::memory_order_relaxed);
-}
 
 Value Column::Get(size_t row) const {
   switch (storage_) {

@@ -20,19 +20,14 @@ namespace iqs {
 // Semantics contract: every operator over this representation
 // (ColumnarScan in algebra.h, the columnar induction path) must produce
 // byte-identical output — including error text and first-error order —
-// to its row-at-a-time reference. The differential suite under
-// `ctest -L columnar` holds both paths to that contract.
+// to a row-at-a-time evaluation. The differential suite under
+// `ctest -L columnar` holds them to that contract against test-only row
+// oracles.
 
 // Rows per block. Zone maps are kept per (column, block); 1024 keeps the
 // per-block metadata negligible while making min/max skips coarse enough
 // to pay for themselves.
 inline constexpr size_t kColumnarBlockRows = 1024;
-
-// Process-wide switch consulted by the SQL/QUEL executors and the
-// induction entry points. On by default; the differential tests flip it
-// to run the row and columnar paths against each other in one process.
-bool ColumnarEnabled();
-void SetColumnarEnabled(bool enabled);
 
 // Per-(column, block) statistics. min/max are over non-null entries only
 // (null sorts below everything, so folding it in would pin every min);

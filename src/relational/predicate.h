@@ -27,6 +27,10 @@ enum class CompareOp {
 
 const char* CompareOpSymbol(CompareOp op);
 
+// The operator that reads the same comparison with its operands swapped
+// (`5 < x` is `x > 5`); kEq, kNe and kLike come back unchanged.
+CompareOp MirrorCompareOp(CompareOp op);
+
 // SQL LIKE semantics: does `text` match `pattern`? Text is treated as
 // UTF-8: '_' consumes one code point, not one byte (a malformed byte
 // counts as one character).

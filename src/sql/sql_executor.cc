@@ -13,11 +13,19 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "relational/algebra.h"
+#include "sql/conjunct.h"
 #include "sql/sql_parser.h"
 
 namespace iqs {
 
 thread_local SqlExecutor::ExecutionStats SqlExecutor::stats_;
+
+// Defined here, beside stats_, rather than inline in the header: UBSan's
+// null check rejected the inline accessor's reference to the
+// thread_local when it was called from other translation units.
+const SqlExecutor::ExecutionStats& SqlExecutor::last_stats() const {
+  return stats_;
+}
 
 namespace {
 
@@ -26,38 +34,59 @@ std::string BaseName(const std::string& attribute) {
   return pos == std::string::npos ? attribute : attribute.substr(pos + 1);
 }
 
-// Coerces `literal` for comparison against a column of type `type`.
-Result<Value> CoerceLiteral(const Value& literal, const std::string& raw,
-                            ValueType type) {
-  if (literal.is_null()) return literal;
-  if (literal.type() == type) return literal;
-  switch (type) {
-    case ValueType::kString:
-      // Numeric literal against a CHAR column: keep the spelling.
-      return Value::String(raw.empty() ? literal.ToString() : raw);
-    case ValueType::kReal:
-      if (literal.type() == ValueType::kInt) {
-        return Value::Real(static_cast<double>(literal.AsInt()));
-      }
-      break;
-    case ValueType::kInt:
-      if (literal.type() == ValueType::kReal) return literal;  // numeric cmp ok
-      if (literal.type() == ValueType::kString) {
-        return Value::FromText(ValueType::kInt, literal.AsString());
-      }
-      break;
-    case ValueType::kDate:
-      if (literal.type() == ValueType::kString) {
-        return Value::FromText(ValueType::kDate, literal.AsString());
-      }
-      break;
-    default:
-      break;
+// Appends rows `ids` of `rel` (every row when null) to `out`, charging
+// the governance context at `site` per 1024 rows materialized.
+template <typename Id>
+Status AppendRows(const Relation& rel, const std::vector<Id>* ids,
+                  const char* site, Relation* out) {
+  size_t count = ids != nullptr ? ids->size() : rel.size();
+  size_t width = out->schema().size();
+  for (size_t i = 0; i < count; ++i) {
+    if ((i & 1023) == 0) {
+      IQS_RETURN_IF_ERROR(exec::ChargeRows(
+          site, std::min<size_t>(1024, count - i), width));
+    }
+    out->AppendUnchecked(rel.row(ids != nullptr ? (*ids)[i] : i));
   }
-  return Status::TypeError("cannot compare a " +
-                           std::string(ValueTypeName(literal.type())) +
-                           " literal with a " + ValueTypeName(type) +
-                           " column");
+  return Status::Ok();
+}
+
+// The ascending row ids of stored FROM entry `table` that its index
+// admits, or nullopt to read every row. The seed column is the first
+// indexed one, in WHERE order, with a recognized interval; the range is
+// the intersection of every recognized interval on it.
+std::optional<std::vector<size_t>> IndexSeed(
+    const Database& db, const SelectStatement& stmt, size_t table,
+    const std::vector<ClassifiedConjunct>& conjuncts) {
+  const std::string& relation = stmt.from[table].name;
+  const SortedIndex* index = nullptr;
+  std::string attribute;
+  Interval range;
+  for (const ClassifiedConjunct& c : conjuncts) {
+    if (!c.recognized || c.table != table) continue;
+    // An unqualified column seeds only a one-table FROM, so a join's
+    // post-join filter sees the rows (and raises the errors) it always
+    // has.
+    if (c.column->qualifier.empty() && stmt.from.size() != 1) continue;
+    if (index == nullptr) {
+      index = db.GetIndex(relation, c.attribute);
+      if (index == nullptr) continue;
+      attribute = c.attribute;
+    } else if (!EqualsIgnoreCase(c.attribute, attribute)) {
+      continue;
+    }
+    range = range.Intersection(c.interval);
+  }
+  if (index == nullptr) return std::nullopt;
+  if (range.IsEmpty()) return std::vector<size_t>{};
+  // The closed hull of an open or half-bounded range: the WHERE still
+  // applies in full, so admitting its endpoints is safe.
+  Result<Value> lo = range.lo().has_value() ? *range.lo() : index->Min();
+  Result<Value> hi = range.hi().has_value() ? *range.hi() : index->Max();
+  if (!lo.ok() || !hi.ok() || *lo > *hi) {
+    return std::vector<size_t>{};  // empty index, or a range off its end
+  }
+  return index->Range(*lo, *hi);
 }
 
 }  // namespace
@@ -84,16 +113,14 @@ Result<size_t> SqlExecutor::ResolveColumn(const Schema& schema,
   return found;
 }
 
-Relation SqlExecutor::QualifyFor(const Relation& relation,
-                                 const std::string& effective_name) {
+Relation SqlExecutor::QualifiedEmpty(const Relation& relation,
+                                     const std::string& effective_name) {
   std::vector<AttributeDef> attrs = relation.schema().attributes();
   for (AttributeDef& a : attrs) {
     a.name = effective_name + "." + a.name;
     a.is_key = false;
   }
-  Relation out(effective_name, Schema(std::move(attrs)));
-  for (const Tuple& t : relation.rows()) out.AppendUnchecked(t);
-  return out;
+  return Relation(effective_name, Schema(std::move(attrs)));
 }
 
 Result<Relation> SqlExecutor::JoinOn(const Relation& left,
@@ -237,162 +264,29 @@ Result<Relation> SqlExecutor::ExecuteMeasured(const SelectStatement& stmt,
   return result;
 }
 
-Result<bool> SqlExecutor::TryColumnarScan(const TableRef& ref,
-                                          const SelectStatement& stmt,
-                                          Relation* qualified) const {
-  Result<std::shared_ptr<const ColumnarRelation>> snap =
-      db_->ColumnarSnapshot(ref.name);
-  if (!snap.ok()) return false;  // relation vanished: let the row path report
-  // Single-table binding happens against the qualified schema, whose
-  // attribute order matches the base relation — so bound column indexes
-  // address the snapshot's columns directly. A bind error here is the
-  // same error the row path would surface (nothing can fail in between
-  // for a one-table FROM).
-  IQS_ASSIGN_OR_RETURN(PredicatePtr pred,
-                       BindExpr(qualified->schema(), *stmt.where));
-  ExtractedConjuncts split = ExtractColumnConditions(pred, **snap);
-  if (split.conditions.empty()) return false;
-  ColumnarScanStats scan_stats;
-  IQS_ASSIGN_OR_RETURN(std::vector<uint32_t> admitted,
-                       ColumnarScan(**snap, split.conditions,
-                                    split.residual.get(), &scan_stats));
-  size_t materialized = 0;
-  for (uint32_t r : admitted) {
-    if ((materialized & 1023) == 0) {
-      IQS_RETURN_IF_ERROR(exec::ChargeRows(
-          "columnar.scan", std::min<size_t>(1024, admitted.size() - materialized),
-          qualified->schema().size()));
-    }
-    qualified->AppendUnchecked((*snap)->MaterializeRow(r));
-    ++materialized;
-  }
-  ++stats_.columnar_tables;
-  stats_.columnar_blocks_total += scan_stats.blocks_total;
-  stats_.columnar_blocks_pruned += scan_stats.blocks_pruned;
-  IQS_COUNTER_INC("sql.execute.columnar_path");
-  IQS_COUNTER_ADD("sql.execute.columnar_blocks_pruned",
-                  scan_stats.blocks_pruned);
-  return true;
-}
-
 Result<Relation> SqlExecutor::ExecuteInternal(const SelectStatement& stmt,
                                               bool schema_only) const {
   if (stmt.from.empty()) {
     return Status::InvalidArgument("FROM list must not be empty");
   }
-  // Index fast path: a conjunct `col op literal` (or `col BETWEEN lit AND
-  // lit` — the shape the semantic optimizer's narrowing emits) over an
-  // indexed column of a FROM table lets us materialize only the admitted
-  // rows. The full WHERE is re-applied later, so over-approximating
-  // (closed hull of an open interval) is safe. Admitted row ids come back
-  // ascending, so the filtered table keeps base-relation row order.
-  auto index_rows = [&](const TableRef& ref, const Relation& rel)
-      -> std::optional<std::vector<size_t>> {
+  // Every stored FROM table is read the same way: the index, when one
+  // covers a recognized restriction, picks the candidate row ids; a
+  // single-table WHERE then runs as the batch scan over those candidates
+  // (zone maps, typed sieve, residual) and is fully applied there. The
+  // survivors are materialized once, straight into the qualified
+  // relation. Virtual (sys.*) relations are live snapshots with no index
+  // or columnar form; joins filter after joining.
+  std::vector<ClassifiedConjunct> conjuncts;
+  if (!schema_only) {
     for (const SqlExpr* conjunct : TopLevelConjuncts(stmt.where.get())) {
-      if (conjunct->kind == SqlExpr::Kind::kBetween) {
-        if (conjunct->lhs.kind != SqlOperand::Kind::kColumn ||
-            conjunct->low.kind != SqlOperand::Kind::kLiteral ||
-            conjunct->high.kind != SqlOperand::Kind::kLiteral) {
-          continue;
-        }
-        const ColumnRef& column = conjunct->lhs.column;
-        if (!column.qualifier.empty()) {
-          if (!EqualsIgnoreCase(column.qualifier, ref.effective_name()) &&
-              !EqualsIgnoreCase(column.qualifier, ref.name)) {
-            continue;
-          }
-        } else if (stmt.from.size() != 1) {
-          continue;
-        }
-        auto attr_idx = rel.schema().IndexOf(column.name);
-        if (!attr_idx.ok()) continue;
-        const SortedIndex* index = db_->GetIndex(ref.name, column.name);
-        if (index == nullptr) continue;
-        ValueType type = rel.schema().attribute(*attr_idx).type;
-        auto lo = CoerceLiteral(conjunct->low.literal, conjunct->low.raw, type);
-        auto hi =
-            CoerceLiteral(conjunct->high.literal, conjunct->high.raw, type);
-        if (!lo.ok() || !hi.ok()) continue;
-        if (!lo->ComparableWith(*hi)) continue;
-        if (*lo > *hi) return std::vector<size_t>{};
-        return index->Range(*lo, *hi);
-      }
-      if (conjunct->kind != SqlExpr::Kind::kComparison) continue;
-      if (conjunct->op == CompareOp::kNe) continue;
-      const SqlOperand* col = nullptr;
-      const SqlOperand* lit = nullptr;
-      CompareOp op = conjunct->op;
-      if (conjunct->lhs.kind == SqlOperand::Kind::kColumn &&
-          conjunct->rhs.kind == SqlOperand::Kind::kLiteral) {
-        col = &conjunct->lhs;
-        lit = &conjunct->rhs;
-      } else if (conjunct->rhs.kind == SqlOperand::Kind::kColumn &&
-                 conjunct->lhs.kind == SqlOperand::Kind::kLiteral) {
-        col = &conjunct->rhs;
-        lit = &conjunct->lhs;
-        switch (op) {  // mirror
-          case CompareOp::kLt: op = CompareOp::kGt; break;
-          case CompareOp::kLe: op = CompareOp::kGe; break;
-          case CompareOp::kGt: op = CompareOp::kLt; break;
-          case CompareOp::kGe: op = CompareOp::kLe; break;
-          default: break;
-        }
-      } else {
-        continue;
-      }
-      // The column must belong to this table. Qualified refs must match
-      // the table; unqualified refs only qualify with a single-table FROM.
-      if (!col->column.qualifier.empty()) {
-        if (!EqualsIgnoreCase(col->column.qualifier, ref.effective_name()) &&
-            !EqualsIgnoreCase(col->column.qualifier, ref.name)) {
-          continue;
-        }
-      } else if (stmt.from.size() != 1) {
-        continue;
-      }
-      auto attr_idx = rel.schema().IndexOf(col->column.name);
-      if (!attr_idx.ok()) continue;
-      const SortedIndex* index = db_->GetIndex(ref.name, col->column.name);
-      if (index == nullptr) continue;
-      auto coerced = CoerceLiteral(lit->literal, lit->raw,
-                                   rel.schema().attribute(*attr_idx).type);
-      if (!coerced.ok()) continue;
-      auto lo = index->Min();
-      auto hi = index->Max();
-      if (!lo.ok() || !hi.ok()) {
-        return std::vector<size_t>{};  // empty index: nothing matches
-      }
-      Value range_lo = *lo;
-      Value range_hi = *hi;
-      switch (op) {
-        case CompareOp::kEq:
-          range_lo = range_hi = *coerced;
-          break;
-        case CompareOp::kLt:
-        case CompareOp::kLe:
-          range_hi = *coerced;
-          break;
-        case CompareOp::kGt:
-        case CompareOp::kGe:
-          range_lo = *coerced;
-          break;
-        default:
-          continue;
-      }
-      if (!range_lo.ComparableWith(range_hi)) continue;
-      if (range_lo > range_hi) return std::vector<size_t>{};
-      return index->Range(range_lo, range_hi);
+      conjuncts.push_back(ClassifyConjunct(*db_, stmt.from, *conjunct));
     }
-    return std::nullopt;
-  };
-
-  // Load and qualify each table. Virtual (sys.*) relations are
-  // materialized from live registries per scan; they have no indexes, so
-  // the fast path only applies to stored relations.
+  }
   std::vector<Relation> tables;
   std::set<std::string> names;
   bool where_filtered = false;
-  for (const TableRef& ref : stmt.from) {
+  for (size_t t = 0; t < stmt.from.size(); ++t) {
+    const TableRef& ref = stmt.from[t];
     std::optional<Relation> materialized;
     const Relation* rel = nullptr;
     if (db_->IsVirtual(ref.name)) {
@@ -408,47 +302,44 @@ Result<Relation> SqlExecutor::ExecuteInternal(const SelectStatement& stmt,
       return Status::InvalidArgument("duplicate table name/alias '" +
                                      effective + "' in FROM");
     }
-    if (schema_only) {
-      // Proven-empty scan skip: only the schema participates; joins,
-      // WHERE binding, aggregation, and projection all still run so the
-      // output shape (and any error) matches a real scan of zero rows.
-      Relation empty(rel->name(), rel->schema());
-      tables.push_back(QualifyFor(empty, effective));
-      continue;
-    }
-    std::optional<std::vector<size_t>> admitted =
-        materialized.has_value() ? std::nullopt : index_rows(ref, *rel);
-    if (admitted.has_value()) {
-      ++stats_.index_prefiltered_tables;
-      Relation filtered(rel->name(), rel->schema());
-      for (size_t r : *admitted) filtered.AppendUnchecked(rel->row(r));
-      stats_.base_rows_loaded += filtered.size();
-      tables.push_back(QualifyFor(filtered, effective));
-      IQS_RETURN_IF_ERROR(exec::ChargeRows("sql.scan", tables.back().size(),
-                                           tables.back().schema().size()));
-      continue;
-    }
-    stats_.base_rows_loaded += rel->size();
-    // Columnar fast path: a one-table restriction with no usable index
-    // runs as a zone-map-pruned batch scan over the columnar snapshot
-    // and arrives here already WHERE-filtered.
+    tables.push_back(QualifiedEmpty(*rel, effective));
+    Relation& qualified = tables.back();
+    // Proven-empty scan skip: only the schema participates; joins, WHERE
+    // binding, aggregation, and projection all still run so the output
+    // shape (and any error) matches a real scan of zero rows.
+    if (schema_only) continue;
+    std::optional<std::vector<size_t>> seed;
+    if (!materialized.has_value()) seed = IndexSeed(*db_, stmt, t, conjuncts);
+    if (seed.has_value()) ++stats_.index_prefiltered_tables;
+    stats_.base_rows_loaded += seed.has_value() ? seed->size() : rel->size();
     if (stmt.from.size() == 1 && stmt.where != nullptr &&
-        !materialized.has_value() && ColumnarEnabled()) {
-      Relation empty(rel->name(), rel->schema());
-      Relation qualified = QualifyFor(empty, effective);
-      IQS_ASSIGN_OR_RETURN(bool scanned,
-                           TryColumnarScan(ref, stmt, &qualified));
-      if (scanned) {
-        tables.push_back(std::move(qualified));
-        where_filtered = true;
-        continue;
-      }
+        !materialized.has_value()) {
+      // Single-table binding happens against the qualified schema, whose
+      // attribute order matches the base relation, so bound column
+      // indexes address the snapshot's columns directly.
+      IQS_ASSIGN_OR_RETURN(PredicatePtr pred,
+                           BindExpr(qualified.schema(), *stmt.where));
+      IQS_ASSIGN_OR_RETURN(std::shared_ptr<const ColumnarRelation> snap,
+                           db_->ColumnarSnapshot(ref.name));
+      ExtractedConjuncts split = ExtractColumnConditions(pred, *snap);
+      ColumnarScanStats scan_stats;
+      IQS_ASSIGN_OR_RETURN(
+          std::vector<uint32_t> admitted,
+          ColumnarScan(*snap, split.conditions, split.residual.get(),
+                       &scan_stats, seed.has_value() ? &*seed : nullptr));
+      IQS_RETURN_IF_ERROR(
+          AppendRows(*rel, &admitted, "columnar.scan", &qualified));
+      where_filtered = true;
+      ++stats_.columnar_tables;
+      stats_.columnar_blocks_total += scan_stats.blocks_total;
+      stats_.columnar_blocks_pruned += scan_stats.blocks_pruned;
+      IQS_COUNTER_INC("sql.execute.columnar_path");
+      IQS_COUNTER_ADD("sql.execute.columnar_blocks_pruned",
+                      scan_stats.blocks_pruned);
+      continue;
     }
-    tables.push_back(QualifyFor(*rel, effective));
-    // The qualified copy is the scan stage's big materialization — the
-    // whole base relation duplicated under qualified names.
-    IQS_RETURN_IF_ERROR(exec::ChargeRows("sql.scan", tables.back().size(),
-                                         tables.back().schema().size()));
+    IQS_RETURN_IF_ERROR(AppendRows(
+        *rel, seed.has_value() ? &*seed : nullptr, "sql.scan", &qualified));
   }
 
   // Collect equi-join conditions (column = column across two tables).
@@ -471,7 +362,7 @@ Result<Relation> SqlExecutor::ExecuteInternal(const SelectStatement& stmt,
   // Greedy join plan: start with the first table; repeatedly attach a
   // table linked by a join condition, else cross-product the next one.
   std::vector<bool> joined(tables.size(), false);
-  Relation working = tables[0];
+  Relation working = std::move(tables[0]);  // never read again
   joined[0] = true;
   size_t remaining = tables.size() - 1;
   auto resolves_in = [](const Relation& rel, const ColumnRef& ref) {

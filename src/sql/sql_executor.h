@@ -10,11 +10,14 @@
 namespace iqs {
 
 // Executes SELECT statements against a Database, producing the
-// extensional answer (paper §4). The working relation is the join of the
-// FROM tables — equi-join conditions found in the WHERE clause drive a
-// greedy hash-join plan; remaining tables fall back to cross products —
-// filtered by the full WHERE predicate, then projected / deduplicated /
-// sorted.
+// extensional answer (paper §4). Each stored FROM table is read through
+// one access path: its index, if one covers a WHERE restriction, seeds
+// the candidate rows, and a single-table WHERE runs as the batch scan
+// over them. Multi-table FROMs join the loaded tables — equi-join
+// conditions found in the WHERE clause drive a greedy hash-join plan;
+// remaining tables fall back to cross products — and filter the result
+// by the full WHERE predicate. Then the working relation is projected /
+// deduplicated / sorted.
 class SqlExecutor {
  public:
   // `db` must outlive the executor.
@@ -33,19 +36,17 @@ class SqlExecutor {
   // Parses and executes.
   Result<Relation> ExecuteSql(const std::string& sql) const;
 
-  // Observability for the index fast path: when a WHERE conjunct
-  // restricts an indexed column of a FROM table with a literal, the
-  // executor loads only the index-admitted rows instead of the whole
-  // relation (the full WHERE still applies afterwards, so open bounds
-  // may over-approximate safely).
+  // Observability for the table-access path. An index covering a
+  // recognized `column op literal` restriction seeds the candidate row
+  // ids, and only those are loaded (the full WHERE still applies, so
+  // open bounds may over-approximate safely).
   struct ExecutionStats {
-    size_t index_prefiltered_tables = 0;
-    size_t base_rows_loaded = 0;  // rows materialized across FROM tables
+    size_t index_prefiltered_tables = 0;  // index-seeded FROM tables
+    size_t base_rows_loaded = 0;  // candidate rows across FROM tables
     size_t rows_returned = 0;     // result cardinality
-    // Columnar fast path (DESIGN.md §14): tables answered from the
-    // columnar snapshot, and its zone-map block accounting.
-    // base_rows_loaded still counts the full relation size for a
-    // columnar table — pruning shows up here, not there.
+    // Single-table WHEREs run as the batch scan over the columnar
+    // snapshot (DESIGN.md §14): tables scanned so, and the zone-map block
+    // accounting. Pruning shows up here, not in base_rows_loaded.
     size_t columnar_tables = 0;
     size_t columnar_blocks_total = 0;
     size_t columnar_blocks_pruned = 0;
@@ -53,7 +54,7 @@ class SqlExecutor {
   // Stats of the last query executed ON THE CALLING THREAD. The slot is
   // thread-local so one executor can serve concurrent queries without the
   // bookkeeping of one racing the reporting of another.
-  const ExecutionStats& last_stats() const { return stats_; }
+  const ExecutionStats& last_stats() const;
 
   // Resolves `ref` against a working schema whose attributes are named
   // "<table-or-alias>.<attr>": qualified refs match exactly; unqualified
@@ -73,21 +74,10 @@ class SqlExecutor {
   Result<Relation> ExecuteInternal(const SelectStatement& stmt,
                                    bool schema_only) const;
 
-  // Copies `relation` with attributes renamed "<effective>.<attr>".
-  static Relation QualifyFor(const Relation& relation,
-                             const std::string& effective_name);
-
-  // Columnar fast path for a single-table SELECT with a WHERE clause
-  // and no index-admitted prefilter: binds the predicate against
-  // `qualified`'s schema, splits out the column-vs-constant conjunct
-  // prefix, and runs the zone-map-pruned batch scan over the cached
-  // columnar snapshot. On success appends the admitted rows to
-  // `*qualified` and returns true — the WHERE clause is then fully
-  // applied. Returns false (appending nothing) when no conjunct is
-  // extractable and the row scan should run instead.
-  Result<bool> TryColumnarScan(const TableRef& ref,
-                               const SelectStatement& stmt,
-                               Relation* qualified) const;
+  // An empty relation with `relation`'s attributes renamed
+  // "<effective>.<attr>".
+  static Relation QualifiedEmpty(const Relation& relation,
+                                 const std::string& effective_name);
 
   // Hash equi-join of two working relations on the named columns.
   static Result<Relation> JoinOn(const Relation& left,

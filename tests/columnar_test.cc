@@ -276,6 +276,28 @@ TEST(ColumnarScanTest, FirstErrorMatchesRowOrderAndText) {
                        MakeColumn(0)));
 }
 
+TEST(ColumnarScanTest, SelectionLimitsCandidatesAndSkipsEmptyBlocks) {
+  // Seeded ids in blocks 0–2, none in block 3: only seeded rows can
+  // survive, block 3 is skipped unread, and block 0 (K <= 1023) is
+  // pruned by its zone map against K >= 1031.
+  Relation rel = MultiBlockRelation(4 * kColumnarBlockRows);
+  ColumnarRelation cols = ColumnarRelation::FromRelation(rel);
+  auto pred = MakeAnd(MakeCompare(CompareOp::kGe, MakeColumn(0),
+                                  MakeConstant(Value::Int(1031))),
+                      MakeCompare(CompareOp::kNe, MakeColumn(1),
+                                  MakeConstant(Value::String("blue"))));
+  ExtractedConjuncts split = ExtractColumnConditions(pred, cols);
+  const std::vector<size_t> selection = {3, 1030, 1031, 1032, 2100};
+  ColumnarScanStats stats;
+  ASSERT_OK_AND_ASSIGN(std::vector<uint32_t> hits,
+                       ColumnarScan(cols, split.conditions,
+                                    split.residual.get(), &stats, &selection));
+  // 1031 % 3 == 2 is "blue"; 1032 and 2100 are "red".
+  EXPECT_EQ(hits, (std::vector<uint32_t>{1032, 2100}));
+  EXPECT_EQ(stats.blocks_total, 4u);
+  EXPECT_EQ(stats.blocks_pruned, 2u);
+}
+
 // ---- the Database snapshot cache -------------------------------------
 
 TEST(ColumnarSnapshotTest, CachesPerEpochAndRetiresOnMutation) {
@@ -374,25 +396,6 @@ TEST(ColumnarInductionTest, RepresentativeSpellingsMatchTheRowPath) {
   config.prune = false;
   ExpectInductionIdentical(rel, "X", "Y", config);
   ExpectInductionIdentical(rel, "Y", "X", config);
-}
-
-TEST(ColumnarInductionTest, DispatchHonorsTheProcessToggle) {
-  // InduceSchemeWithStats must give the same answer either way; this
-  // also exercises the FromRelation-on-the-fly dispatch arm.
-  Relation toy = MakeRelation("TOY",
-                              Schema({{"X", ValueType::kInt, false},
-                                      {"Y", ValueType::kString, false}}),
-                              {{"1", "a"}, {"2", "a"}, {"3", "b"}});
-  InductionConfig config;
-  config.prune = false;
-  InductionStats stats;
-  SetColumnarEnabled(false);
-  auto rows = InduceSchemeWithStats(toy, "X", "Y", config, &stats);
-  SetColumnarEnabled(true);
-  auto cols = InduceSchemeWithStats(toy, "X", "Y", config, &stats);
-  ASSERT_OK(rows.status());
-  ASSERT_OK(cols.status());
-  EXPECT_EQ(RuleBodies(*cols), RuleBodies(*rows));
 }
 
 }  // namespace

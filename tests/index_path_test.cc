@@ -1,5 +1,9 @@
-// The registered-index fast path: identical answers with fewer base
-// rows materialized, conservative invalidation on mutation.
+// Index-seeded table access: identical answers with fewer base rows
+// loaded, conservative invalidation on mutation.
+
+#include <algorithm>
+#include <string>
+#include <vector>
 
 #include "gtest/gtest.h"
 #include "sql/sql_executor.h"
@@ -71,12 +75,8 @@ TEST_F(IndexPathTest, SameAnswersWithAndWithoutIndex) {
   for (size_t i = 0; i < std::size(queries); ++i) {
     ASSERT_OK_AND_ASSIGN(Relation out, executor.ExecuteSql(queries[i]));
     EXPECT_EQ(SortedRows(out), before[i]) << queries[i];
-    // BETWEEN desugars to two conjuncts handled by the predicate, not
-    // the prefilter; the others hit the index.
-    if (i != 2) {
-      EXPECT_GE(executor.last_stats().index_prefiltered_tables, 1u)
-          << queries[i];
-    }
+    EXPECT_GE(executor.last_stats().index_prefiltered_tables, 1u)
+        << queries[i];
   }
 }
 
@@ -119,6 +119,45 @@ TEST_F(IndexPathTest, LargeFleetEquivalence) {
   EXPECT_EQ(SortedRows(plain), SortedRows(fast));
   EXPECT_EQ(executor.last_stats().index_prefiltered_tables, 1u);
   EXPECT_LT(executor.last_stats().base_rows_loaded, 1200u / 4);
+}
+
+TEST_F(IndexPathTest, NarrowShapeSeedsTheBatchScan) {
+  // The fleet workload's `narrow` class: a Type restriction plus a
+  // displacement floor below the type's band. The Displacement index
+  // seeds the batch scan, which applies the Type conjunct to the seeded
+  // rows only.
+  ASSERT_OK_AND_ASSIGN(auto fleet, GenerateFleet(100, 21));
+  SqlExecutor executor(fleet.get());
+  std::vector<std::string> queries;
+  std::vector<int64_t> floors;
+  for (const FleetTypeSpec& spec : Table1Specs()) {
+    floors.push_back(std::max(0, spec.displacement_lo - 20000));
+    queries.push_back(
+        "SELECT Id, Name, Displacement FROM BATTLESHIP WHERE Type = '" +
+        std::string(spec.type) +
+        "' AND Displacement >= " + std::to_string(floors.back()));
+  }
+  std::vector<std::string> plain;
+  for (const std::string& q : queries) {
+    ASSERT_OK_AND_ASSIGN(Relation out, executor.ExecuteSql(q));
+    EXPECT_EQ(executor.last_stats().index_prefiltered_tables, 0u);
+    EXPECT_EQ(executor.last_stats().base_rows_loaded, 1200u);
+    plain.push_back(out.ToTable());
+  }
+  ASSERT_OK(fleet->CreateIndex("BATTLESHIP", "Displacement"));
+  const SortedIndex* index = fleet->GetIndex("BATTLESHIP", "Displacement");
+  ASSERT_NE(index, nullptr);
+  ASSERT_OK_AND_ASSIGN(Value max, index->Max());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    ASSERT_OK_AND_ASSIGN(Relation out, executor.ExecuteSql(queries[i]));
+    EXPECT_EQ(out.ToTable(), plain[i]) << queries[i];
+    EXPECT_GT(out.size(), 0u) << queries[i];
+    EXPECT_EQ(executor.last_stats().index_prefiltered_tables, 1u);
+    EXPECT_EQ(executor.last_stats().columnar_tables, 1u);
+    EXPECT_EQ(executor.last_stats().base_rows_loaded,
+              index->CountRange(Value::Int(floors[i]), max))
+        << queries[i];
+  }
 }
 
 }  // namespace

@@ -13,7 +13,7 @@
 #include "induction/ils.h"
 #include "inference/engine.h"
 #include "obs/metrics.h"
-#include "relational/algebra.h"
+#include "sql/sql_executor.h"
 #include "tests/test_util.h"
 
 namespace iqs {
@@ -114,20 +114,22 @@ TEST_F(ParallelExecTest, InducedRuleBaseIdenticalAcrossThreadCounts) {
 }
 
 TEST_F(ParallelExecTest, SelectionMatchesSerialOnLargeInput) {
-  // 5000 rows through the partitioned Select: row order must be the
-  // serial scan order (concatenation merge in chunk order).
+  // 5000 rows (five blocks) through the block-parallel WHERE scan: row
+  // order must be the serial scan order (block-ordered merge).
   Relation rel("NUMBERS", Schema({{"N", ValueType::kInt, true}}));
   for (int i = 0; i < 5000; ++i) {
     ASSERT_OK(rel.Insert(Tuple{Value::Int(i * 7 % 5000)}));
   }
-  ASSERT_OK_AND_ASSIGN(PredicatePtr pred,
-                       MakeColumnCompare(rel.schema(), "N", CompareOp::kLt,
-                                         Value::Int(1000)));
+  Database db;
+  ASSERT_OK(db.AddRelation(std::move(rel)));
+  SqlExecutor executor(&db);
+  const char* sql = "SELECT N FROM NUMBERS WHERE N < 1000";
   exec::SetGlobalThreadCount(1);
-  ASSERT_OK_AND_ASSIGN(Relation serial, Select(rel, *pred));
+  ASSERT_OK_AND_ASSIGN(Relation serial, executor.ExecuteSql(sql));
+  ASSERT_EQ(serial.size(), 1000u);
   for (size_t threads : {2, 8}) {
     exec::SetGlobalThreadCount(threads);
-    ASSERT_OK_AND_ASSIGN(Relation parallel, Select(rel, *pred));
+    ASSERT_OK_AND_ASSIGN(Relation parallel, executor.ExecuteSql(sql));
     ASSERT_EQ(parallel.size(), serial.size()) << "threads=" << threads;
     EXPECT_EQ(parallel.ToTable(), serial.ToTable()) << "threads=" << threads;
   }

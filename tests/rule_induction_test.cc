@@ -118,8 +118,8 @@ TEST(RuleInductionTest, StatsAreReported) {
   config.min_support = 2;
   InductionStats stats;
   ASSERT_OK_AND_ASSIGN(std::vector<Rule> rules,
-                       InduceSchemeWithStats(ToyRelation(), "X", "Y", config,
-                                             &stats));
+                       InduceSchemeRowsWithStats(ToyRelation(), "X", "Y",
+                                                 config, &stats));
   EXPECT_EQ(stats.distinct_pairs, 8u);       // (7,c) and (7,d) both count
   EXPECT_EQ(stats.inconsistent_values, 1u);  // X = 7
   EXPECT_EQ(stats.runs, 3u);

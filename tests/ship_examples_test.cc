@@ -214,5 +214,27 @@ TEST_F(ShipExamplesTest, DescribeCoercesLiteralSpellings) {
       description.conditions[0].Satisfies(Value::String("0204")));
 }
 
+TEST_F(ShipExamplesTest, DescribeParsesQuotedNumbersLikeTheExecutor) {
+  // A quoted number against an INT column is the INT the executor
+  // compares with, in a BETWEEN bound as in a comparison.
+  const std::string quoted =
+      "SELECT ClassName FROM CLASS WHERE Displacement BETWEEN '7000' AND "
+      "30000";
+  ASSERT_OK_AND_ASSIGN(SelectStatement stmt, ParseSelect(quoted));
+  ASSERT_OK_AND_ASSIGN(QueryDescription description,
+                       system_->processor().Describe(stmt));
+  ASSERT_EQ(description.conditions.size(), 1u);
+  EXPECT_EQ(description.conditions[0].ToConditionString(),
+            "7000 <= CLASS.Displacement <= 30000");
+  ASSERT_OK_AND_ASSIGN(QueryResult with_quotes, system_->Query(quoted));
+  ASSERT_OK_AND_ASSIGN(
+      QueryResult plain,
+      system_->Query("SELECT ClassName FROM CLASS WHERE Displacement "
+                     "BETWEEN 7000 AND 30000"));
+  EXPECT_GT(plain.extensional.size(), 0u);
+  EXPECT_EQ(with_quotes.extensional.ToTable(), plain.extensional.ToTable());
+  EXPECT_EQ(system_->Explain(with_quotes), system_->Explain(plain));
+}
+
 }  // namespace
 }  // namespace iqs
