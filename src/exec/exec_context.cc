@@ -142,7 +142,6 @@ const std::vector<CheckpointInfo>& CheckpointManifest() {
           {"sql.scan", "SQL WHERE filter, per parallel chunk"},
           {"sql.join", "SQL join / cross-product output, per probe batch"},
           {"sql.aggregate", "SQL aggregate, per parallel chunk"},
-          {"quel.scan", "QUEL retrieve pipeline, per statement stage"},
           {"columnar.scan", "columnar batch scan, per 1024-row block"},
           {"columnar.transpose", "row->column transpose, per column"},
           {"ils.induce", "rule induction, per candidate scheme"},

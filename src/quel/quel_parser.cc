@@ -316,13 +316,13 @@ class QuelParser {
 
 Result<QuelStatement> ParseQuelStatement(const std::string& text) {
   IQS_FAILPOINT("quel.parse");
-  IQS_ASSIGN_OR_RETURN(std::vector<SqlToken> tokens, LexSql(text));
+  IQS_ASSIGN_OR_RETURN(std::vector<SqlToken> tokens, LexSql(text, "QUEL"));
   QuelParser parser(std::move(tokens));
   return parser.RunSingle();
 }
 
 Result<std::vector<QuelStatement>> ParseQuelScript(const std::string& text) {
-  IQS_ASSIGN_OR_RETURN(std::vector<SqlToken> tokens, LexSql(text));
+  IQS_ASSIGN_OR_RETURN(std::vector<SqlToken> tokens, LexSql(text, "QUEL"));
   QuelParser parser(std::move(tokens));
   return parser.RunScript();
 }

@@ -7,7 +7,7 @@
 
 #include "quel/quel_ast.h"
 #include "relational/database.h"
-#include "relational/predicate.h"
+#include "sql/sql_ast.h"
 
 namespace iqs {
 
@@ -20,13 +20,16 @@ namespace iqs {
 //   session.ExecuteText(
 //       "retrieve into S unique (r.Class, r.Id) sort by r.Class");
 //
-// Retrieval semantics: the statement ranges over all combinations of
-// the tuple variables it mentions; the qualification filters; the
-// target list projects (with `unique` deduplicating). `retrieve into`
-// materializes the result in the database, replacing any relation of
-// the same name. A delete removes the tuples of its variable for which
-// some combination of the other mentioned variables satisfies the
-// qualification.
+// The session is a translator: retrieve and delete lower to a
+// SelectStatement over one FROM entry per tuple variable (aliased by the
+// variable) and run through SqlExecutor, so QUEL reads rows exactly the
+// way SQL does. Retrieval semantics: the statement ranges over all
+// combinations of the tuple variables it mentions; the qualification
+// filters; the target list projects (with `unique` deduplicating).
+// `retrieve into` materializes the result in the database, replacing any
+// relation of the same name. A delete removes the tuples of its variable
+// for which some combination of the other mentioned variables satisfies
+// the qualification.
 class QuelSession {
  public:
   // `db` must outlive the session.
@@ -35,8 +38,8 @@ class QuelSession {
   struct ExecutionResult {
     Relation relation;    // retrieve output; empty otherwise
     size_t affected = 0;  // deleted / appended tuple count
-    // Columnar fast-path accounting for this statement (zero when the
-    // row path ran): zone-map blocks considered and skipped.
+    // Batch-scan accounting of the statement's query (zero when no
+    // single-table scan ran): zone-map blocks considered and skipped.
     size_t columnar_blocks_total = 0;
     size_t columnar_blocks_pruned = 0;
   };
@@ -50,12 +53,6 @@ class QuelSession {
   Result<std::string> RelationOf(const std::string& variable) const;
 
  private:
-  struct Binding {
-    std::string variable;
-    const Relation* relation = nullptr;
-    const Tuple* current = nullptr;
-  };
-
   Result<ExecutionResult> ExecuteRange(const QuelRangeStatement& stmt);
   Result<ExecutionResult> ExecuteRetrieve(const QuelRetrieveStatement& stmt);
   Result<ExecutionResult> ExecuteDelete(const QuelDeleteStatement& stmt);
@@ -67,39 +64,13 @@ class QuelSession {
   static void AddVariable(const std::string& variable,
                           std::vector<std::string>* out);
 
-  Result<const Relation*> ResolveVariable(const std::string& variable) const;
-
-  // Evaluates `expr` under the current bindings.
-  static Result<bool> Eval(const QuelExpr& expr,
-                           const std::vector<Binding>& bindings);
-  static Result<Value> EvalOperand(const QuelExpr::Operand& operand,
-                                   const std::vector<Binding>& bindings,
-                                   const QuelExpr::Operand& other);
-
-  // Columnar fast path for a single-variable qualified retrieve: the
-  // qualification is converted to a bound Predicate over the variable's
-  // relation (replicating EvalOperand's raw-spelling coercion exactly)
-  // and run as a zone-map-pruned batch scan. Appends the admitted
-  // target tuples to `*result` (honoring `unique`) and returns true; a
-  // false return means nothing was appended and the row path must run.
-  static bool TryConvertOperand(const QuelExpr::Operand& operand,
-                                const Binding& binding,
-                                const QuelExpr::Operand& other, ExprPtr* out);
-  static bool TryConvertExpr(const QuelExpr& expr, const Binding& binding,
-                             PredicatePtr* out);
-  Result<bool> TryColumnarRetrieve(
-      const QuelRetrieveStatement& stmt, const Binding& binding,
-      const std::vector<std::pair<size_t, size_t>>& sources, Relation* result,
-      ExecutionResult* counters) const;
+  // One FROM entry per variable, in order: its relation, aliased by the
+  // variable.
+  Result<std::vector<TableRef>> FromList(
+      const std::vector<std::string>& variables) const;
 
   Database* db_;
   std::map<std::string, std::string> ranges_;  // lower(var) -> relation
-  // Per-statement snapshots of virtual sys.* relations, keyed by
-  // lowercased relation name. Cleared at the start of every retrieve /
-  // delete so one statement reads one consistent snapshot while Binding
-  // pointers into it stay valid. Mutable: filled lazily by the const
-  // ResolveVariable().
-  mutable std::map<std::string, Relation> virtual_snapshots_;
 };
 
 }  // namespace iqs

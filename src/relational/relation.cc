@@ -110,22 +110,15 @@ Result<std::pair<Value, Value>> Relation::ActiveDomain(
   return std::make_pair(lo, hi);
 }
 
-Status Relation::SortBy(const std::vector<std::string>& attribute_names) {
-  std::vector<size_t> idx;
-  idx.reserve(attribute_names.size());
-  for (const std::string& a : attribute_names) {
-    IQS_ASSIGN_OR_RETURN(size_t i, schema_.IndexOf(a));
-    idx.push_back(i);
-  }
+void Relation::SortBy(const std::vector<std::pair<size_t, bool>>& keys) {
   std::stable_sort(rows_.begin(), rows_.end(),
-                   [&idx](const Tuple& a, const Tuple& b) {
-                     for (size_t i : idx) {
-                       int c = a.at(i).Compare(b.at(i));
-                       if (c != 0) return c < 0;
+                   [&keys](const Tuple& a, const Tuple& b) {
+                     for (const auto& [idx, desc] : keys) {
+                       int c = a.at(idx).Compare(b.at(idx));
+                       if (c != 0) return desc ? c > 0 : c < 0;
                      }
                      return false;
                    });
-  return Status::Ok();
 }
 
 std::string Relation::ToTable() const {

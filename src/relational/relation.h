@@ -3,6 +3,7 @@
 
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -56,8 +57,9 @@ class Relation {
   // clipping query conditions during forward inference (DESIGN.md §4).
   Result<std::pair<Value, Value>> ActiveDomain(const std::string& name) const;
 
-  // Sorts rows in place lexicographically by the given attribute names.
-  Status SortBy(const std::vector<std::string>& attribute_names);
+  // Stable in-place sort by (column index, descending) keys, compared
+  // lexicographically with Value::Compare. Indexes must be in range.
+  void SortBy(const std::vector<std::pair<size_t, bool>>& keys);
 
   // ASCII table rendering with a header, for examples and bench output.
   std::string ToTable() const;

@@ -11,8 +11,9 @@ namespace iqs {
 
 // A provider of read-only virtual relations, materialized on every scan
 // from live state (the `sys.*` introspection catalog, DESIGN.md §11).
-// Providers are registered on a Database; the SQL/QUEL executors consult
-// the registry whenever a FROM/range name is not a stored relation.
+// Providers are registered on a Database; the SQL executor (which QUEL
+// lowers onto) consults the registry whenever a FROM name is not a
+// stored relation.
 //
 // Contract:
 //  - RelationNames() lists the full dotted names this provider serves

@@ -499,18 +499,7 @@ Result<Relation> SqlExecutor::ExecuteInternal(const SelectStatement& stmt,
         if (!idx.ok()) return idx.status();
         keys.emplace_back(*idx, item.descending);
       }
-      std::vector<Tuple> rows = aggregated.rows();
-      std::stable_sort(rows.begin(), rows.end(),
-                       [&keys](const Tuple& a, const Tuple& b) {
-                         for (const auto& [idx, desc] : keys) {
-                           int c = a.at(idx).Compare(b.at(idx));
-                           if (c != 0) return desc ? c > 0 : c < 0;
-                         }
-                         return false;
-                       });
-      Relation sorted(aggregated.name(), aggregated.schema());
-      for (Tuple& t : rows) sorted.AppendUnchecked(std::move(t));
-      return sorted;
+      aggregated.SortBy(keys);
     }
     return aggregated;
   }
@@ -523,18 +512,7 @@ Result<Relation> SqlExecutor::ExecuteInternal(const SelectStatement& stmt,
                            ResolveColumn(working.schema(), item.column));
       keys.emplace_back(idx, item.descending);
     }
-    std::vector<Tuple> rows = working.rows();
-    std::stable_sort(rows.begin(), rows.end(),
-                     [&keys](const Tuple& a, const Tuple& b) {
-                       for (const auto& [idx, desc] : keys) {
-                         int c = a.at(idx).Compare(b.at(idx));
-                         if (c != 0) return desc ? c > 0 : c < 0;
-                       }
-                       return false;
-                     });
-    Relation sorted(working.name(), working.schema());
-    for (Tuple& t : rows) sorted.AppendUnchecked(std::move(t));
-    working = std::move(sorted);
+    working.SortBy(keys);
   }
 
   // Projection. Output columns are named by their base name unless that

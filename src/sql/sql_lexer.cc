@@ -10,11 +10,13 @@ bool SqlToken::IsKeyword(const std::string& kw) const {
   return kind == SqlTokenKind::kIdent && EqualsIgnoreCase(text, kw);
 }
 
-Result<std::vector<SqlToken>> LexSql(const std::string& input) {
+Result<std::vector<SqlToken>> LexSql(const std::string& input,
+                                     const std::string& language) {
   std::vector<SqlToken> out;
   size_t i = 0;
   auto error = [&](const std::string& msg) {
-    return Status::ParseError("SQL offset " + std::to_string(i) + ": " + msg);
+    return Status::ParseError(language + " offset " + std::to_string(i) +
+                              ": " + msg);
   };
   while (i < input.size()) {
     char c = input[i];
@@ -49,8 +51,14 @@ Result<std::vector<SqlToken>> LexSql(const std::string& input) {
       out.push_back({SqlTokenKind::kString, std::move(text), pos});
       continue;
     }
-    if (std::isdigit(static_cast<unsigned char>(c))) {
+    // A '-' right before a digit signs a numeric literal, so INT64's
+    // minimum lexes as one INT token ("--" comments are skipped above).
+    const bool negative =
+        c == '-' && i + 1 < input.size() &&
+        std::isdigit(static_cast<unsigned char>(input[i + 1]));
+    if (negative || std::isdigit(static_cast<unsigned char>(c))) {
       std::string text;
+      if (negative) text += input[i++];
       bool is_real = false;
       while (i < input.size()) {
         char d = input[i];

@@ -14,8 +14,8 @@ enum class SqlTokenKind {
   kIdent,    // SUBMARINE, Displacement (keywords are idents, matched
              // case-insensitively by the parser)
   kString,   // 'BQS-04' (single quotes, '' escapes a quote)
-  kInt,      // 8000
-  kReal,     // 3.5
+  kInt,      // 8000, -3
+  kReal,     // 3.5, -0.5
   kSymbol,   // . , ( ) * = != <> < <= > >=
   kEnd,
 };
@@ -31,7 +31,11 @@ struct SqlToken {
   bool IsKeyword(const std::string& kw) const;
 };
 
-Result<std::vector<SqlToken>> LexSql(const std::string& input);
+// Lexes `input`; errors name `language` and the byte offset
+// ("SQL offset 12: ..."), so the QUEL parser, which shares this lexer,
+// reports "QUEL offset".
+Result<std::vector<SqlToken>> LexSql(const std::string& input,
+                                     const std::string& language = "SQL");
 
 }  // namespace iqs
 

@@ -40,7 +40,7 @@ constexpr char kRuleQuery[] =
 // degradation, composing with the fault-injection policies.
 struct CheckpointDriver {
   const char* checkpoint;
-  enum class Kind { kSql, kQuel, kInduce } kind;
+  enum class Kind { kSql, kInduce } kind;
   const char* sql;  // kSql only
   bool invalidate_columnar;  // bump the db epoch first (forces transpose)
   bool hard;
@@ -57,7 +57,6 @@ const std::vector<CheckpointDriver>& Drivers() {
            false, true},
           {"sql.aggregate", CheckpointDriver::Kind::kSql,
            "SELECT COUNT(*) FROM SUBMARINE", false, true},
-          {"quel.scan", CheckpointDriver::Kind::kQuel, nullptr, false, true},
           {"columnar.scan", CheckpointDriver::Kind::kSql, kRuleQuery, false,
            true},
           {"columnar.transpose", CheckpointDriver::Kind::kSql, kRuleQuery,
@@ -106,13 +105,6 @@ class GovernanceSweepTest : public ::testing::Test {
                               : system_->Query(driver.sql, *options);
   }
 
-  Status RunQuel() {
-    QuelSession session(&system_->database());
-    auto result =
-        session.ExecuteScript("range of s is SUBMARINE\nretrieve (s.Id)");
-    return result.ok() ? Status::Ok() : result.status();
-  }
-
   Status RunInduce() {
     InductionConfig config;
     config.min_support = 3;
@@ -134,9 +126,6 @@ TEST_F(GovernanceSweepTest, EveryManifestCheckpointHasAReachingDriver) {
         ASSERT_TRUE(result.ok()) << result.status();
         break;
       }
-      case CheckpointDriver::Kind::kQuel:
-        ASSERT_OK(RunQuel());
-        break;
       case CheckpointDriver::Kind::kInduce:
         ASSERT_OK(RunInduce());
         break;
@@ -183,14 +172,6 @@ TEST_F(GovernanceSweepTest, DeadlineAtEveryCheckpointUnwindsCleanly) {
           options.deadline_ms = 1;
           auto result = RunSql(driver, &options);
           outcome = result.ok() ? Status::Ok() : result.status();
-          break;
-        }
-        case CheckpointDriver::Kind::kQuel: {
-          exec::ExecContext::Config config;
-          config.deadline = std::chrono::milliseconds(1);
-          exec::ExecContext context(std::move(config));
-          exec::ScopedExecContext scope(&context);
-          outcome = RunQuel();
           break;
         }
         case CheckpointDriver::Kind::kInduce: {
@@ -242,6 +223,46 @@ TEST_F(GovernanceSweepTest, DeadlineAtEveryCheckpointUnwindsCleanly) {
         << "system unusable after governed unwind: " << healthy.status();
     EXPECT_GT(healthy->intensional.size(), 0u);
   }
+}
+
+// QUEL lowers onto the SQL executor and has no checkpoint of its own: a
+// retrieve and an existential delete under an expired deadline unwind
+// at the executor's checkpoints with the typed status, and the delete
+// leaves its target relation as it was.
+TEST_F(GovernanceSweepTest, QuelUnderExpiredDeadlineUnwindsTyped) {
+  QuelSession session(&system_->database());
+  ASSERT_OK(session
+                .ExecuteScript("range of s is SUBMARINE\n"
+                               "range of i is INSTALL")
+                .status());
+  ASSERT_OK_AND_ASSIGN(const Relation* ships,
+                       system_->database().Get("SUBMARINE"));
+  const std::string before = ships->ToTable();
+  {
+    exec::ExecContext::Config config;
+    config.deadline = std::chrono::milliseconds(1);
+    exec::ExecContext context(std::move(config));
+    exec::ScopedExecContext scope(&context);
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    auto retrieve =
+        session.ExecuteText("retrieve (s.Id) where s.Class = \"0204\"");
+    ASSERT_FALSE(retrieve.ok());
+    EXPECT_EQ(retrieve.status().code(), StatusCode::kDeadlineExceeded)
+        << retrieve.status();
+    auto del = session.ExecuteText(
+        "delete s where s.Id = i.Ship and i.Sonar = \"BQS-04\"");
+    ASSERT_FALSE(del.ok());
+    EXPECT_EQ(del.status().code(), StatusCode::kDeadlineExceeded)
+        << del.status();
+  }
+  EXPECT_EQ(ships->ToTable(), before);
+  EXPECT_EQ(GovernedMemoryPool::Global().used_bytes(), 0u);
+  // Ungoverned, the same delete goes through.
+  ASSERT_OK_AND_ASSIGN(
+      auto deleted,
+      session.ExecuteText(
+          "delete s where s.Id = i.Ship and i.Sonar = \"BQS-04\""));
+  EXPECT_EQ(deleted.affected, 4u);
 }
 
 // A genuine (uninjected) memory overrun: a 1kb budget cannot hold the

@@ -1,4 +1,4 @@
-#include "induction/quel_induction.h"
+#include "tests/quel_induction.h"
 
 #include <map>
 #include <set>
@@ -6,6 +6,7 @@
 #include "quel/quel_session.h"
 
 namespace iqs {
+namespace testing_util {
 
 namespace {
 
@@ -158,4 +159,5 @@ Result<std::vector<Rule>> InduceSchemeViaQuel(Database* db,
   return out;
 }
 
+}  // namespace testing_util
 }  // namespace iqs

@@ -1,5 +1,5 @@
-#ifndef IQS_INDUCTION_QUEL_INDUCTION_H_
-#define IQS_INDUCTION_QUEL_INDUCTION_H_
+#ifndef IQS_TESTS_QUEL_INDUCTION_H_
+#define IQS_TESTS_QUEL_INDUCTION_H_
 
 #include <string>
 #include <vector>
@@ -9,6 +9,7 @@
 #include "rules/rule.h"
 
 namespace iqs {
+namespace testing_util {
 
 // The Rule Induction Algorithm driven by the LITERAL QUEL statements of
 // paper §5.2.1 — the paper's prototype "is performed in the ILS which
@@ -24,11 +25,11 @@ namespace iqs {
 //   step 3/4: run construction and pruning over the surviving S, exactly
 //            as in InduceScheme.
 //
-// Produces the same rules as the native InduceScheme under
-// RunPolicy::kDatabaseDomain (tested in quel_induction_test.cc); it
-// exists to demonstrate that the in-memory engine really supports the
-// paper's execution strategy, and as the reference implementation the
-// optimized path is validated against.
+// Test-only: produces the same rules as the native InduceScheme under
+// RunPolicy::kDatabaseDomain (tested in quel_induction_test.cc). It
+// demonstrates that the engine really supports the paper's execution
+// strategy — the step 2 self-join with != and the existential delete
+// run as lowered QUEL — and is a reference the native path is held to.
 //
 // `db` is mutated: the temporaries S and T are created (replacing any
 // existing relations of those names) and dropped again on success.
@@ -38,6 +39,7 @@ Result<std::vector<Rule>> InduceSchemeViaQuel(Database* db,
                                               const std::string& y_attr,
                                               const InductionConfig& config);
 
+}  // namespace testing_util
 }  // namespace iqs
 
-#endif  // IQS_INDUCTION_QUEL_INDUCTION_H_
+#endif  // IQS_TESTS_QUEL_INDUCTION_H_

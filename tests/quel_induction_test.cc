@@ -1,7 +1,7 @@
 // Equivalence of the QUEL-driven reference induction (the paper's
 // literal §5.2.1 statements) with the optimized native InduceScheme.
 
-#include "induction/quel_induction.h"
+#include "tests/quel_induction.h"
 
 #include <ostream>
 
@@ -13,6 +13,8 @@
 
 namespace iqs {
 namespace {
+
+using testing_util::InduceSchemeViaQuel;
 
 void ExpectSameRules(const std::vector<Rule>& a, const std::vector<Rule>& b) {
   ASSERT_EQ(a.size(), b.size());

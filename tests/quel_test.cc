@@ -114,6 +114,15 @@ TEST_F(QuelTest, RetrieveJoinAcrossVariables) {
   EXPECT_EQ(names, (std::vector<std::string>{"Rhode Island", "Typhoon"}));
 }
 
+TEST_F(QuelTest, RetrieveSameAttributeTwiceUnderTwoNames) {
+  Run("range of r is TYPE");
+  Relation out = Run("retrieve (a = r.Type, b = r.Type) sort by r.Type");
+  ASSERT_EQ(out.schema().size(), 2u);
+  EXPECT_EQ(out.schema().attribute(1).name, "b");
+  EXPECT_EQ(ColumnText(out, "a"), ColumnText(out, "b"));
+  EXPECT_EQ(out.size(), 2u);
+}
+
 TEST_F(QuelTest, RetrieveIntoMaterializesAndReplaces) {
   Run("range of r is CLASS");
   Run("retrieve into CLASSTYPES unique (r.Type)");
@@ -243,6 +252,84 @@ TEST_F(QuelTest, ScriptReturnsLastResult) {
                            "range of r is TYPE; retrieve (r.Type)"));
   EXPECT_EQ(result.relation.size(), 2u);
   EXPECT_FALSE(session_->ExecuteScript("").ok());
+}
+
+// A quoted number against an INT attribute coerces exactly as in SQL
+// (CLASS 0102 and 0103 displace 7250 tons).
+TEST_F(QuelTest, StringLiteralAgainstIntAttributeCoercesAsInSql) {
+  Run("range of c is CLASS");
+  Relation out = Run("retrieve (c.Class) where c.Displacement = \"7250\"");
+  EXPECT_EQ(ColumnText(out, "Class"),
+            (std::vector<std::string>{"0102", "0103"}));
+}
+
+TEST_F(QuelTest, NegativeLiteralsLexAndErrorsNameQuel) {
+  Run("range of c is CLASS");
+  Relation all = Run("retrieve (c.Class) where c.Displacement > -1");
+  EXPECT_EQ(all.size(), 13u);
+  Relation none = Run("retrieve (c.Class) where c.Displacement < -1.5");
+  EXPECT_EQ(none.size(), 0u);
+  auto bad = ParseQuelStatement("retrieve (c.Class) where c.Class = ?");
+  ASSERT_FALSE(bad.ok());
+  EXPECT_NE(bad.status().message().find("QUEL offset"), std::string::npos)
+      << bad.status();
+  EXPECT_EQ(bad.status().message().find("SQL"), std::string::npos)
+      << bad.status();
+}
+
+// An unknown attribute is a bind error, so it surfaces even when no row
+// would ever reach the qualification.
+TEST_F(QuelTest, UnknownAttributeFailsOnEmptyRelation) {
+  ASSERT_OK(db_->CreateRelation("EMPTY",
+                                Schema({{"X", ValueType::kInt, false}}))
+                .status());
+  Run("range of e is EMPTY");
+  EXPECT_EQ(Run("retrieve (e.X) where e.X = 1").size(), 0u);
+  auto result = session_->ExecuteText("retrieve (e.X) where e.Nope = 1");
+  ASSERT_FALSE(result.ok());
+  EXPECT_NE(result.status().message().find("Nope"), std::string::npos)
+      << result.status();
+  EXPECT_FALSE(session_->ExecuteText("delete e where e.Nope = 1").ok());
+}
+
+// Duplicate rows share a fate, a NULL column matches NULL, and rows that
+// differ only in type (INT 3 vs REAL 3.0) are each removed: neither
+// stands in for the other.
+TEST_F(QuelTest, DeleteRemovesExactlyTheQualifyingTuples) {
+  Relation dup("DUP", Schema({{"X", ValueType::kReal, false},
+                              {"Y", ValueType::kString, false}}));
+  for (const Tuple& row :
+       {Tuple({Value::Real(1), Value::String("a")}),
+        Tuple({Value::Real(1), Value::String("a")}),
+        Tuple({Value::Real(2), Value::Null()}),
+        Tuple({Value::Real(2), Value::Null()}),
+        Tuple({Value::Real(2), Value::String("b")}),
+        Tuple({Value::Null(), Value::String("a")}),
+        Tuple({Value::Int(3), Value::String("c")}),
+        Tuple({Value::Real(3), Value::String("c")})}) {
+    dup.AppendUnchecked(row);
+  }
+  ASSERT_OK(db_->AddRelation(std::move(dup)));
+  Run("range of d is DUP");
+  ASSERT_OK_AND_ASSIGN(const Relation* rel, db_->Get("DUP"));
+
+  ASSERT_OK_AND_ASSIGN(auto a, session_->ExecuteText(
+                                   "delete d where d.Y = \"a\" and d.X = 1"));
+  EXPECT_EQ(a.affected, 2u);
+  // Comparisons with NULL are false, so NOT admits both (2, NULL) rows.
+  ASSERT_OK_AND_ASSIGN(auto nulls, session_->ExecuteText(
+                                       "delete d where d.X = 2 and "
+                                       "not d.Y = \"b\""));
+  EXPECT_EQ(nulls.affected, 2u);
+  ASSERT_OK_AND_ASSIGN(auto threes,
+                       session_->ExecuteText("delete d where d.X = 3"));
+  EXPECT_EQ(threes.affected, 2u);  // INT 3 and REAL 3.0 both qualify
+  ASSERT_OK_AND_ASSIGN(auto b,
+                       session_->ExecuteText("delete d where d.Y = \"b\""));
+  EXPECT_EQ(b.affected, 1u);
+  ASSERT_EQ(rel->size(), 1u);
+  EXPECT_TRUE(rel->row(0).at(0).is_null());
+  EXPECT_EQ(rel->row(0).at(1), Value::String("a"));
 }
 
 TEST_F(QuelTest, UnboundVariableErrors) {

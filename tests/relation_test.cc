@@ -138,10 +138,16 @@ TEST(RelationTest, SortByMultipleKeys) {
   Relation rel = MakeRelation(
       "SHIP", ShipSchema(),
       {{"S3", "B", "100"}, {"S1", "B", "50"}, {"S2", "A", "100"}});
-  ASSERT_OK(rel.SortBy({"Name", "Displacement"}));
+  ASSERT_OK_AND_ASSIGN(size_t name, rel.schema().IndexOf("Name"));
+  ASSERT_OK_AND_ASSIGN(size_t displacement,
+                       rel.schema().IndexOf("Displacement"));
+  rel.SortBy({{name, false}, {displacement, false}});
   EXPECT_EQ(testing_util::ColumnText(rel, "Id"),
             (std::vector<std::string>{"S2", "S1", "S3"}));
-  EXPECT_FALSE(rel.SortBy({"Nope"}).ok());
+  rel.SortBy({{displacement, true}, {name, false}});
+  EXPECT_EQ(testing_util::ColumnText(rel, "Id"),
+            (std::vector<std::string>{"S2", "S3", "S1"}));
+  EXPECT_FALSE(rel.schema().IndexOf("Nope").ok());
 }
 
 TEST(RelationTest, ToTableRendersHeaderAndRows) {

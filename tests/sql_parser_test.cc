@@ -1,5 +1,8 @@
 #include "sql/sql_parser.h"
 
+#include <cstdint>
+#include <limits>
+
 #include "gtest/gtest.h"
 #include "sql/sql_lexer.h"
 #include "tests/test_util.h"
@@ -29,6 +32,40 @@ TEST(SqlLexerTest, Errors) {
 TEST(SqlLexerTest, CommentsSkipped) {
   ASSERT_OK_AND_ASSIGN(auto tokens, LexSql("SELECT -- comment\n x"));
   EXPECT_EQ(tokens[1].text, "x");
+}
+
+TEST(SqlLexerTest, SignedNumericLiterals) {
+  // A '-' directly before a digit signs the literal; "--" still opens a
+  // comment, and INT64's minimum lexes as one token.
+  ASSERT_OK_AND_ASSIGN(auto tokens,
+                       LexSql("x > -3 AND y < -2.5 -- tail\n"));
+  EXPECT_EQ(tokens[2].kind, SqlTokenKind::kInt);
+  EXPECT_EQ(tokens[2].text, "-3");
+  EXPECT_EQ(tokens[6].kind, SqlTokenKind::kReal);
+  EXPECT_EQ(tokens[6].text, "-2.5");
+  EXPECT_EQ(tokens[7].kind, SqlTokenKind::kEnd);
+  ASSERT_OK_AND_ASSIGN(auto min, LexSql("-9223372036854775808"));
+  EXPECT_EQ(min[0].text, "-9223372036854775808");
+  // A bare '-' is still not a token.
+  EXPECT_FALSE(LexSql("x - 3").ok());
+  EXPECT_FALSE(LexSql("x > -").ok());
+}
+
+TEST(SqlParserTest, NegativeLiteralComparesNumerically) {
+  ASSERT_OK_AND_ASSIGN(
+      SelectStatement stmt,
+      ParseSelect("SELECT Class FROM CLASS WHERE Displacement > -3"));
+  ASSERT_NE(stmt.where, nullptr);
+  EXPECT_EQ(stmt.where->rhs.literal, Value::Int(-3));
+  EXPECT_EQ(stmt.where->ToString(), "Displacement > -3");
+  ASSERT_OK_AND_ASSIGN(
+      SelectStatement min,
+      ParseSelect("SELECT a FROM T WHERE a >= -9223372036854775808"));
+  EXPECT_EQ(min.where->rhs.literal,
+            Value::Int(std::numeric_limits<int64_t>::min()));
+  ASSERT_OK_AND_ASSIGN(SelectStatement real,
+                       ParseSelect("SELECT a FROM T WHERE a < -0.5"));
+  EXPECT_EQ(real.where->rhs.literal, Value::Real(-0.5));
 }
 
 TEST(SqlParserTest, MinimalSelect) {
