@@ -1,9 +1,7 @@
 #include "core/query_processor.h"
 
 #include <chrono>
-#include <map>
 
-#include "common/string_util.h"
 #include "exec/exec_context.h"
 #include "fault/failpoint.h"
 #include "obs/metrics.h"
@@ -25,101 +23,26 @@ int64_t MicrosBetween(std::chrono::steady_clock::time_point from,
   return nanos <= 0 ? 0 : (nanos + 999) / 1000;
 }
 
-// Per-call snapshots of virtual sys.* relations named in FROM, keyed by
-// lowercased name. Describe() consults schemas only, so materializing a
-// snapshot distinct from the executor's is safe: virtual schemas are fixed
-// even though their rows are live.
-using VirtualSnapshots = std::map<std::string, Relation>;
-
-Result<const Relation*> LookupRelation(const Database& db,
-                                       const VirtualSnapshots& virtuals,
-                                       const std::string& name) {
-  auto it = virtuals.find(ToLower(name));
-  if (it != virtuals.end()) return &it->second;
-  return db.Get(name);
-}
-
-// Finds the relation (by real name) owning `ref` among the FROM tables.
-Result<std::pair<std::string, const Relation*>> OwnerTable(
-    const Database& db, const VirtualSnapshots& virtuals,
-    const std::vector<TableRef>& from, const ColumnRef& ref) {
-  if (!ref.qualifier.empty()) {
-    for (const TableRef& table : from) {
-      if (EqualsIgnoreCase(table.effective_name(), ref.qualifier) ||
-          EqualsIgnoreCase(table.name, ref.qualifier)) {
-        IQS_ASSIGN_OR_RETURN(const Relation* rel,
-                             LookupRelation(db, virtuals, table.name));
-        if (!rel->schema().Contains(ref.name)) {
-          return Status::NotFound("table '" + table.name +
-                                  "' has no column '" + ref.name + "'");
-        }
-        return std::make_pair(table.name, rel);
-      }
-    }
-    return Status::NotFound("no FROM table matches qualifier '" +
-                            ref.qualifier + "'");
-  }
-  std::pair<std::string, const Relation*> found{"", nullptr};
-  for (const TableRef& table : from) {
-    IQS_ASSIGN_OR_RETURN(const Relation* rel,
-                         LookupRelation(db, virtuals, table.name));
-    if (rel->schema().Contains(ref.name)) {
-      if (found.second != nullptr) {
-        return Status::InvalidArgument("column '" + ref.name +
-                                       "' is ambiguous in the FROM list");
-      }
-      found = {table.name, rel};
-    }
-  }
-  if (found.second == nullptr) {
-    return Status::NotFound("no FROM table has column '" + ref.name + "'");
-  }
-  return found;
-}
-
 }  // namespace
 
 Result<QueryDescription> IntensionalQueryProcessor::Describe(
     const SelectStatement& stmt) const {
   IQS_SPAN("query.describe");
+  // The scope and classification the executor reads, so the description
+  // fails only where the executor would, with the same error.
+  IQS_ASSIGN_OR_RETURN(FromScope scope, FromScope::Build(*db_, stmt.from));
   QueryDescription description;
-  VirtualSnapshots virtuals;
-  for (const TableRef& table : stmt.from) {
-    if (db_->IsVirtual(table.name) &&
-        virtuals.count(ToLower(table.name)) == 0) {
-      IQS_ASSIGN_OR_RETURN(Relation snapshot,
-                           db_->MaterializeVirtual(table.name));
-      virtuals.emplace(ToLower(table.name), std::move(snapshot));
-    }
+  for (const FromEntry& entry : scope.entries()) {
+    description.object_types.push_back(entry.relation->name());
   }
-  for (const TableRef& table : stmt.from) {
-    IQS_ASSIGN_OR_RETURN(const Relation* rel,
-                         LookupRelation(*db_, virtuals, table.name));
-    description.object_types.push_back(rel->name());
-  }
-  // Column-vs-literal restrictions only; joins and literal-vs-literal
+  // Interval restrictions only; joins, `!=`, LIKE and literal-vs-literal
   // comparisons are not answer-set characterizations.
   for (const SqlExpr* conjunct : TopLevelConjuncts(stmt.where.get())) {
-    std::optional<LiteralRestriction> restriction =
-        MatchLiteralRestriction(*conjunct);
-    if (!restriction.has_value()) continue;
-    if (!restriction->between && (restriction->op == CompareOp::kNe ||
-                                  restriction->op == CompareOp::kLike)) {
-      continue;  // not a single interval
-    }
-    IQS_ASSIGN_OR_RETURN(
-        auto owner,
-        OwnerTable(*db_, virtuals, stmt.from, *restriction->column));
-    IQS_ASSIGN_OR_RETURN(size_t idx, owner.second->schema().IndexOf(
-                                         restriction->column->name));
-    const AttributeDef& def = owner.second->schema().attribute(idx);
-    // A literal the column cannot compare with fails the executor's bind
-    // step, which reports it; it characterizes nothing here.
-    Result<std::pair<Value, Value>> bounds = restriction->Coerce(def.type);
-    if (!bounds.ok()) continue;
-    IQS_ASSIGN_OR_RETURN(Interval interval, restriction->ToInterval(*bounds));
+    ClassifiedConjunct c = ClassifyConjunct(scope, *conjunct);
+    if (!c.recognized) continue;
     description.conditions.push_back(
-        Clause(owner.first + "." + def.name, std::move(interval)));
+        Clause(stmt.from[c.site.table].name + "." + c.attribute,
+               std::move(c.interval)));
   }
   return description;
 }

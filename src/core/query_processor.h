@@ -108,11 +108,14 @@ class IntensionalQueryProcessor {
   Result<QueryResult> ProcessWith(const std::string& sql, InferenceMode mode,
                                   const RuleSet& rules) const;
 
-  // Derives the inference-facing description of a parsed query: each
-  // top-level conjunct comparing a column with a literal (or BETWEEN)
-  // becomes an interval clause over "<Relation>.<attr>" (aliases resolved
-  // to relation names); join conditions and non-conjunctive structure are
-  // omitted — they shape the view, not the restriction.
+  // Derives the inference-facing description of a parsed query from the
+  // FROM scope and conjunct classification the executor reads
+  // (sql/conjunct.h): each recognized top-level conjunct, one column
+  // restricted to one interval, becomes a clause over "<Relation>.<attr>"
+  // (aliases resolved to relation names); join conditions and
+  // non-conjunctive structure are omitted — they shape the view, not the
+  // restriction. Fails only where building the scope fails, with the
+  // executor's error.
   Result<QueryDescription> Describe(const SelectStatement& stmt) const;
 
   // Fraction of extensional-answer rows satisfying every resolvable range

@@ -113,13 +113,15 @@ Result<RewritePlan> SemanticOptimizer::Rewrite(
     if (db.IsVirtual(ref.name)) return plan;  // sys.* snapshots have no rules
   }
 
+  // The executor reports an unknown relation or a repeated alias.
+  Result<FromScope> scope = FromScope::Build(db, stmt.from);
+  if (!scope.ok()) return plan;
   std::vector<const SqlExpr*> conjuncts = TopLevelConjuncts(stmt.where.get());
   std::vector<BoundConjunct> bound;
   bound.reserve(conjuncts.size());
   bool all_safe = true;
   for (const SqlExpr* expr : conjuncts) {
-    bound.push_back(
-        BoundConjunct{ClassifyConjunct(db, stmt.from, *expr), false, {}});
+    bound.push_back(BoundConjunct{ClassifyConjunct(*scope, *expr), false, {}});
     all_safe = all_safe && bound.back().safe;
   }
   // Every rewrite changes which rows get loaded or evaluated, so the pass
@@ -164,7 +166,7 @@ Result<RewritePlan> SemanticOptimizer::Rewrite(
       continue;
     }
     const Value& y = *seed.interval.lo();
-    const TableRef& owner = stmt.from[seed.table];
+    const TableRef& owner = stmt.from[seed.site.table];
 
     // Complete single-LHS rule families on the seed's relation concluding
     // `attribute = y`, grouped by scheme. Inter-object rules carry role
@@ -246,7 +248,9 @@ Result<RewritePlan> SemanticOptimizer::Rewrite(
       for (size_t di = 0; di < n && !plan.proven_empty; ++di) {
         if (di == ci || eliminated[di]) continue;
         const BoundConjunct& other = bound[di];
-        if (!other.recognized || other.table != seed.table) continue;
+        if (!other.recognized || other.site.table != seed.site.table) {
+          continue;
+        }
         if (!SameAttribute(other.attribute, x_base,
                            AttributeMatch::kBaseName)) {
           continue;
@@ -260,7 +264,7 @@ Result<RewritePlan> SemanticOptimizer::Rewrite(
         }
         if (implied) {
           if (load_bearing[di] ||
-              column_is_nullable(seed.table, other.attribute)) {
+              column_is_nullable(seed.site.table, other.attribute)) {
             continue;
           }
           eliminated[di] = true;
@@ -292,17 +296,17 @@ Result<RewritePlan> SemanticOptimizer::Rewrite(
       // an extra BETWEEN conjunct. The full WHERE still applies, so the
       // closed-hull over-approximation of the union is safe.
       if (!hull.has_value()) continue;
-      auto key = std::make_pair(seed.table, ToLower(x_base));
+      auto key = std::make_pair(seed.site.table, ToLower(x_base));
       if (narrowed.count(key) > 0) continue;
-      Result<const Relation*> rel = db.Get(owner.name);
-      if (!rel.ok()) continue;
-      Result<size_t> xi = (*rel)->schema().IndexOf(x_base);
+      const Schema& owner_schema =
+          scope->entries()[seed.site.table].relation->schema();
+      Result<size_t> xi = owner_schema.IndexOf(x_base);
       if (!xi.ok()) continue;
-      const AttributeDef& x_def = (*rel)->schema().attribute(*xi);
+      const AttributeDef& x_def = owner_schema.attribute(*xi);
       bool already_tight = false;
       for (size_t di = 0; di < n; ++di) {
         if (eliminated[di] || !bound[di].recognized) continue;
-        if (bound[di].table != seed.table) continue;
+        if (bound[di].site.table != seed.site.table) continue;
         if (!SameAttribute(bound[di].attribute, x_base,
                            AttributeMatch::kBaseName)) {
           continue;
@@ -313,7 +317,7 @@ Result<RewritePlan> SemanticOptimizer::Rewrite(
         }
       }
       if (already_tight) continue;
-      if (column_is_nullable(seed.table, x_def.name)) continue;
+      if (column_is_nullable(seed.site.table, x_def.name)) continue;
       auto narrow = std::make_shared<SqlExpr>();
       narrow->kind = SqlExpr::Kind::kBetween;
       narrow->lhs = SqlOperand::Column(

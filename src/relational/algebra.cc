@@ -9,45 +9,6 @@ namespace iqs {
 
 namespace {
 
-// In-order AND flattening; matches AndPredicate::Eval's left-to-right,
-// short-circuiting leaf evaluation order.
-void FlattenAnd(const PredicatePtr& pred, std::vector<PredicatePtr>* leaves) {
-  if (const auto* a = dynamic_cast<const AndPredicate*>(pred.get())) {
-    FlattenAnd(a->lhs(), leaves);
-    FlattenAnd(a->rhs(), leaves);
-    return;
-  }
-  leaves->push_back(pred);
-}
-
-bool ExtractLeaf(const Predicate& leaf, const ColumnarRelation& rel,
-                 ColumnCondition* out) {
-  const auto* cmp = dynamic_cast<const ComparePredicate*>(&leaf);
-  if (cmp == nullptr) return false;
-  const auto* lcol = dynamic_cast<const ColumnExpr*>(&cmp->lhs());
-  const auto* rconst = dynamic_cast<const ConstantExpr*>(&cmp->rhs());
-  const auto* lconst = dynamic_cast<const ConstantExpr*>(&cmp->lhs());
-  const auto* rcol = dynamic_cast<const ColumnExpr*>(&cmp->rhs());
-  size_t column = 0;
-  if (lcol != nullptr && rconst != nullptr) {
-    column = lcol->index();
-    out->op = cmp->op();
-    out->constant = rconst->value();
-    out->constant_first = false;
-  } else if (lconst != nullptr && rcol != nullptr) {
-    column = rcol->index();
-    out->op = MirrorCompareOp(cmp->op());
-    out->constant = lconst->value();
-    out->constant_first = true;
-  } else {
-    return false;
-  }
-  if (column >= rel.schema().size()) return false;
-  if (rel.column(column).storage() == Column::Storage::kMixed) return false;
-  out->column = column;
-  return true;
-}
-
 // Type-level comparability between a typed column and a non-null
 // constant; kMixed is conservatively incomparable (per-row types are
 // unknown up front).
@@ -287,28 +248,6 @@ Result<std::vector<uint32_t>> EvalColumnarBlock(
 }
 
 }  // namespace
-
-ExtractedConjuncts ExtractColumnConditions(const PredicatePtr& pred,
-                                           const ColumnarRelation& rel) {
-  ExtractedConjuncts out;
-  if (pred == nullptr) return out;
-  std::vector<PredicatePtr> leaves;
-  FlattenAnd(pred, &leaves);
-  size_t i = 0;
-  for (; i < leaves.size(); ++i) {
-    ColumnCondition cond;
-    if (!ExtractLeaf(*leaves[i], rel, &cond)) break;
-    out.conditions.push_back(std::move(cond));
-  }
-  // Re-fold the remaining leaves left-associatively; AND leaf order (and
-  // so evaluation order) is invariant under re-association.
-  for (; i < leaves.size(); ++i) {
-    out.residual = out.residual == nullptr
-                       ? leaves[i]
-                       : MakeAnd(std::move(out.residual), leaves[i]);
-  }
-  return out;
-}
 
 Result<std::vector<uint32_t>> ColumnarScan(
     const ColumnarRelation& rel,

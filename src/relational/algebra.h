@@ -20,32 +20,18 @@ namespace iqs {
 // scan of the same rows — same rows, same order, and the same first
 // error.
 
-// One extracted WHERE conjunct, oriented column-first. `constant_first`
-// records that the source predicate had the literal on the left
-// (`5 > x`): comparison *results* are mirror-symmetric, but TypeError
-// text is not, so generic evaluation re-applies the original
-// orientation.
+// One WHERE conjunct as a typed condition, oriented column-first (the
+// SQL layer builds these from its conjunct classification,
+// sql/conjunct.h). `constant_first` records that the source predicate
+// had the literal on the left (`5 > x`): comparison *results* are
+// mirror-symmetric, but TypeError text is not, so generic evaluation
+// re-applies the original orientation.
 struct ColumnCondition {
   size_t column = 0;
   CompareOp op = CompareOp::kEq;  // column <op> constant
   Value constant;
   bool constant_first = false;
 };
-
-// Result of splitting a bound predicate for ColumnarScan: the maximal
-// extractable *prefix* of AND-ed column-vs-constant compares in
-// evaluation order, plus a residual predicate holding every remaining
-// leaf (null when fully extracted). Only a prefix is sound: a conjunct
-// may not be evaluated ahead of an earlier non-extractable leaf, or a
-// row that leaf would have errored on could be rejected first instead.
-// Columns demoted to kMixed storage are never extracted — the
-// error-order argument in ColumnarScan needs single-typed columns.
-struct ExtractedConjuncts {
-  std::vector<ColumnCondition> conditions;
-  PredicatePtr residual;
-};
-ExtractedConjuncts ExtractColumnConditions(const PredicatePtr& pred,
-                                           const ColumnarRelation& rel);
 
 struct ColumnarScanStats {
   size_t blocks_total = 0;

@@ -1,40 +1,11 @@
 #include "sql/conjunct.h"
 
 #include "common/string_util.h"
+#include "sql/sql_executor.h"
 
 namespace iqs {
 
 namespace {
-
-struct ColumnSite {
-  size_t table = 0;
-  size_t column = 0;
-};
-
-std::optional<ColumnSite> ResolveSite(const Database& db,
-                                      const std::vector<TableRef>& from,
-                                      const ColumnRef& ref) {
-  std::optional<ColumnSite> found;
-  for (size_t i = 0; i < from.size(); ++i) {
-    if (!ref.qualifier.empty() &&
-        !EqualsIgnoreCase(ref.qualifier, from[i].effective_name())) {
-      continue;
-    }
-    Result<const Relation*> rel = db.Get(from[i].name);
-    if (!rel.ok()) return std::nullopt;  // executor will error identically
-    Result<size_t> idx = (*rel)->schema().IndexOf(ref.name);
-    if (!idx.ok()) continue;
-    if (found.has_value()) return std::nullopt;  // ambiguous
-    found = ColumnSite{i, *idx};
-  }
-  return found;
-}
-
-const AttributeDef& SiteDef(const Database& db,
-                            const std::vector<TableRef>& from,
-                            const ColumnSite& site) {
-  return (*db.Get(from[site.table].name))->schema().attribute(site.column);
-}
 
 bool NumericType(ValueType t) {
   return t == ValueType::kInt || t == ValueType::kReal;
@@ -75,95 +46,158 @@ Result<Value> CoerceLiteral(const Value& literal, const std::string& raw,
                            " column");
 }
 
-Result<std::pair<Value, Value>> LiteralRestriction::Coerce(
-    ValueType type) const {
-  IQS_ASSIGN_OR_RETURN(Value lo, CoerceLiteral(low->literal, low->raw, type));
-  if (!between) return std::make_pair(lo, lo);
-  IQS_ASSIGN_OR_RETURN(Value hi,
-                       CoerceLiteral(high->literal, high->raw, type));
-  return std::make_pair(std::move(lo), std::move(hi));
-}
-
-Result<Interval> LiteralRestriction::ToInterval(
-    const std::pair<Value, Value>& bounds) const {
-  if (between) return Interval::Closed(bounds.first, bounds.second);
-  return Interval::FromCompare(op, bounds.first);
-}
-
-std::optional<LiteralRestriction> MatchLiteralRestriction(
-    const SqlExpr& expr) {
-  LiteralRestriction r;
-  if (expr.kind == SqlExpr::Kind::kBetween) {
-    if (expr.lhs.kind != SqlOperand::Kind::kColumn ||
-        expr.low.kind != SqlOperand::Kind::kLiteral ||
-        expr.high.kind != SqlOperand::Kind::kLiteral) {
-      return std::nullopt;
+Result<FromScope> FromScope::Build(const Database& db,
+                                   const std::vector<TableRef>& from) {
+  FromScope scope;
+  std::vector<AttributeDef> qualified;
+  for (const TableRef& ref : from) {
+    FromEntry entry;
+    entry.ref = &ref;
+    if (db.IsVirtual(ref.name)) {
+      IQS_ASSIGN_OR_RETURN(Relation snapshot, db.MaterializeVirtual(ref.name));
+      entry.snapshot = std::make_shared<const Relation>(std::move(snapshot));
+      entry.relation = entry.snapshot.get();
+    } else {
+      IQS_ASSIGN_OR_RETURN(entry.relation, db.Get(ref.name));
     }
-    r.column = &expr.lhs.column;
-    r.between = true;
-    r.low = &expr.low;
-    r.high = &expr.high;
-    return r;
+    const std::string& effective = ref.effective_name();
+    for (const FromEntry& prior : scope.entries_) {
+      if (EqualsIgnoreCase(prior.ref->effective_name(), effective)) {
+        return Status::InvalidArgument("duplicate table name/alias '" +
+                                       effective + "' in FROM");
+      }
+    }
+    entry.first = qualified.size();
+    for (const AttributeDef& a : entry.relation->schema().attributes()) {
+      qualified.push_back(AttributeDef{effective + "." + a.name, a.type});
+    }
+    scope.entries_.push_back(std::move(entry));
   }
-  if (expr.kind != SqlExpr::Kind::kComparison) return std::nullopt;
-  if (expr.lhs.kind == SqlOperand::Kind::kColumn &&
-      expr.rhs.kind == SqlOperand::Kind::kLiteral) {
-    r.column = &expr.lhs.column;
-    r.op = expr.op;
-    r.low = &expr.rhs;
-    return r;
-  }
-  if (expr.lhs.kind == SqlOperand::Kind::kLiteral &&
-      expr.rhs.kind == SqlOperand::Kind::kColumn) {
-    r.column = &expr.rhs.column;
-    r.op = MirrorCompareOp(expr.op);
-    r.low = &expr.lhs;
-    return r;
-  }
-  return std::nullopt;
+  scope.qualified_ = Schema(std::move(qualified));
+  return scope;
 }
 
-ClassifiedConjunct ClassifyConjunct(const Database& db,
-                                    const std::vector<TableRef>& from,
+Schema FromScope::QualifiedSchema(size_t table) const {
+  const std::vector<AttributeDef>& all = qualified_.attributes();
+  auto begin = all.begin() + entries_[table].first;
+  return Schema(std::vector<AttributeDef>(
+      begin, begin + entries_[table].relation->schema().size()));
+}
+
+Result<ColumnSite> FromScope::Resolve(const ColumnRef& ref) const {
+  IQS_ASSIGN_OR_RETURN(size_t index,
+                       SqlExecutor::ResolveColumn(qualified_, ref));
+  // The last entry starting at or before `index` holds it (an entry with
+  // no attributes shares its start with the next one).
+  size_t table = entries_.size() - 1;
+  while (entries_[table].first > index) --table;
+  return ColumnSite{table, index - entries_[table].first};
+}
+
+const AttributeDef& FromScope::Attribute(const ColumnSite& site) const {
+  return entries_[site.table].relation->schema().attribute(site.column);
+}
+
+ClassifiedConjunct ClassifyConjunct(const FromScope& scope,
                                     const SqlExpr& expr) {
+  using Kind = SqlOperand::Kind;
   ClassifiedConjunct c;
   c.expr = &expr;
   if (expr.kind == SqlExpr::Kind::kComparison &&
-      expr.lhs.kind == SqlOperand::Kind::kColumn &&
-      expr.rhs.kind == SqlOperand::Kind::kColumn) {
-    // Join / column-column comparison: safe when both sides resolve to
+      expr.lhs.kind == Kind::kColumn && expr.rhs.kind == Kind::kColumn) {
+    // Column-column comparison: safe when both sides resolve to
     // comparable domains (ApplyCompare never errors then).
-    std::optional<ColumnSite> l = ResolveSite(db, from, expr.lhs.column);
-    std::optional<ColumnSite> r = ResolveSite(db, from, expr.rhs.column);
-    if (!l.has_value() || !r.has_value()) return c;
-    ValueType lt = SiteDef(db, from, *l).type;
-    ValueType rt = SiteDef(db, from, *r).type;
+    Result<ColumnSite> l = scope.Resolve(expr.lhs.column);
+    Result<ColumnSite> r = scope.Resolve(expr.rhs.column);
+    if (!l.ok() || !r.ok()) return c;
+    ValueType lt = scope.Attribute(*l).type;
+    ValueType rt = scope.Attribute(*r).type;
     c.safe = lt == rt || (NumericType(lt) && NumericType(rt));
+    if (expr.op == CompareOp::kEq && l->table != r->table) {
+      c.join = std::make_pair(*l, *r);
+    }
     return c;
   }
-  // Literal-literal comparisons, OR and NOT subtrees are not analyzed and
-  // may error at eval.
-  std::optional<LiteralRestriction> restriction = MatchLiteralRestriction(expr);
-  if (!restriction.has_value()) return c;
-  std::optional<ColumnSite> site =
-      ResolveSite(db, from, *restriction->column);
-  if (!site.has_value()) return c;
-  const AttributeDef& def = SiteDef(db, from, *site);
-  Result<std::pair<Value, Value>> bounds = restriction->Coerce(def.type);
-  if (!bounds.ok()) return c;
+  // A literal restriction: `column op literal` in either orientation, or
+  // `column BETWEEN literal AND literal`. Literal-literal comparisons, OR
+  // and NOT subtrees are not analyzed and may error at eval.
+  const ColumnRef* column = nullptr;
+  CompareOp op = CompareOp::kEq;
+  bool constant_first = false;
+  const SqlOperand* low = nullptr;
+  const SqlOperand* high = nullptr;  // BETWEEN only
+  if (expr.kind == SqlExpr::Kind::kBetween) {
+    if (expr.lhs.kind != Kind::kColumn || expr.low.kind != Kind::kLiteral ||
+        expr.high.kind != Kind::kLiteral) {
+      return c;
+    }
+    column = &expr.lhs.column;
+    low = &expr.low;
+    high = &expr.high;
+  } else if (expr.kind != SqlExpr::Kind::kComparison) {
+    return c;
+  } else if (expr.lhs.kind == Kind::kColumn &&
+             expr.rhs.kind == Kind::kLiteral) {
+    column = &expr.lhs.column;
+    op = expr.op;
+    low = &expr.rhs;
+  } else if (expr.lhs.kind == Kind::kLiteral &&
+             expr.rhs.kind == Kind::kColumn) {
+    column = &expr.rhs.column;
+    op = MirrorCompareOp(expr.op);
+    constant_first = true;
+    low = &expr.lhs;
+  } else {
+    return c;
+  }
+  Result<ColumnSite> site = scope.Resolve(*column);
+  if (!site.ok()) return c;
+  const AttributeDef& def = scope.Attribute(*site);
+  Result<Value> low_value = CoerceLiteral(low->literal, low->raw, def.type);
+  if (!low_value.ok()) return c;
+  Result<Value> high_value = *low_value;
+  if (high != nullptr) {
+    high_value = CoerceLiteral(high->literal, high->raw, def.type);
+    if (!high_value.ok()) return c;
+  }
   c.safe = true;
-  const auto& [lo, hi] = *bounds;
+  c.restriction = true;
+  c.column = column;
+  c.site = *site;
+  c.attribute = def.name;
+  c.between = high != nullptr;
+  c.op = op;
+  c.constant_first = constant_first;
+  c.low = std::move(low_value).value();
+  c.high = std::move(high_value).value();
   // Null comparisons are false, never an error; so is an inverted BETWEEN.
-  if (lo.is_null() || hi.is_null()) return c;
-  if (restriction->between && lo > hi) return c;
-  Result<Interval> interval = restriction->ToInterval(*bounds);
+  if (c.low.is_null() || c.high.is_null()) return c;
+  if (c.between && c.low > c.high) return c;
+  Result<Interval> interval = c.between ? Interval::Closed(c.low, c.high)
+                                        : Interval::FromCompare(c.op, c.low);
   if (!interval.ok()) return c;  // total but not one interval (!=, LIKE)
   c.recognized = true;
-  c.column = restriction->column;
-  c.table = site->table;
-  c.attribute = def.name;
   c.interval = std::move(interval).value();
   return c;
+}
+
+size_t ScanConditions(const std::vector<ClassifiedConjunct>& conjuncts,
+                      const ColumnarRelation& snapshot,
+                      std::vector<ColumnCondition>* out) {
+  size_t taken = 0;
+  for (const ClassifiedConjunct& c : conjuncts) {
+    if (!c.restriction) break;
+    size_t column = c.site.column;
+    if (snapshot.column(column).storage() == Column::Storage::kMixed) break;
+    if (c.between) {
+      out->push_back(ColumnCondition{column, CompareOp::kGe, c.low, false});
+      out->push_back(ColumnCondition{column, CompareOp::kLe, c.high, false});
+    } else {
+      out->push_back(ColumnCondition{column, c.op, c.low, c.constant_first});
+    }
+    ++taken;
+  }
+  return taken;
 }
 
 }  // namespace iqs

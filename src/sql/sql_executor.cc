@@ -51,6 +51,14 @@ Status AppendRows(const Relation& rel, const std::vector<Id>* ids,
   return Status::Ok();
 }
 
+// The working-schema name of a resolved column.
+const std::string& QualifiedName(const FromScope& scope,
+                                 const ColumnSite& site) {
+  return scope.qualified()
+      .attribute(scope.entries()[site.table].first + site.column)
+      .name;
+}
+
 // The ascending row ids of stored FROM entry `table` that its index
 // admits, or nullopt to read every row. The seed column is the first
 // indexed one, in WHERE order, with a recognized interval; the range is
@@ -63,7 +71,7 @@ std::optional<std::vector<size_t>> IndexSeed(
   std::string attribute;
   Interval range;
   for (const ClassifiedConjunct& c : conjuncts) {
-    if (!c.recognized || c.table != table) continue;
+    if (!c.recognized || c.site.table != table) continue;
     // An unqualified column seeds only a one-table FROM, so a join's
     // post-join filter sees the rows (and raises the errors) it always
     // has.
@@ -99,7 +107,10 @@ Result<size_t> SqlExecutor::ResolveColumn(const Schema& schema,
   }
   size_t found = schema.size();
   for (size_t i = 0; i < schema.size(); ++i) {
-    if (EqualsIgnoreCase(BaseName(schema.attribute(i).name), ref.name)) {
+    std::string_view base = schema.attribute(i).name;
+    size_t dot = base.rfind('.');
+    if (dot != std::string_view::npos) base.remove_prefix(dot + 1);
+    if (EqualsIgnoreCase(base, ref.name)) {
       if (found != schema.size()) {
         return Status::InvalidArgument("column '" + ref.name +
                                        "' is ambiguous");
@@ -111,16 +122,6 @@ Result<size_t> SqlExecutor::ResolveColumn(const Schema& schema,
     return Status::NotFound("no column named '" + ref.name + "'");
   }
   return found;
-}
-
-Relation SqlExecutor::QualifiedEmpty(const Relation& relation,
-                                     const std::string& effective_name) {
-  std::vector<AttributeDef> attrs = relation.schema().attributes();
-  for (AttributeDef& a : attrs) {
-    a.name = effective_name + "." + a.name;
-    a.is_key = false;
-  }
-  return Relation(effective_name, Schema(std::move(attrs)));
 }
 
 Result<Relation> SqlExecutor::JoinOn(const Relation& left,
@@ -276,59 +277,52 @@ Result<Relation> SqlExecutor::ExecuteInternal(const SelectStatement& stmt,
   // survivors are materialized once, straight into the qualified
   // relation. Virtual (sys.*) relations are live snapshots with no index
   // or columnar form; joins filter after joining.
+  IQS_ASSIGN_OR_RETURN(FromScope scope, FromScope::Build(*db_, stmt.from));
   std::vector<ClassifiedConjunct> conjuncts;
-  if (!schema_only) {
-    for (const SqlExpr* conjunct : TopLevelConjuncts(stmt.where.get())) {
-      conjuncts.push_back(ClassifyConjunct(*db_, stmt.from, *conjunct));
-    }
+  for (const SqlExpr* conjunct : TopLevelConjuncts(stmt.where.get())) {
+    conjuncts.push_back(ClassifyConjunct(scope, *conjunct));
   }
   std::vector<Relation> tables;
-  std::set<std::string> names;
   bool where_filtered = false;
-  for (size_t t = 0; t < stmt.from.size(); ++t) {
-    const TableRef& ref = stmt.from[t];
-    std::optional<Relation> materialized;
-    const Relation* rel = nullptr;
-    if (db_->IsVirtual(ref.name)) {
-      IQS_ASSIGN_OR_RETURN(Relation snapshot,
-                           db_->MaterializeVirtual(ref.name));
-      materialized = std::move(snapshot);
-      rel = &*materialized;
-    } else {
-      IQS_ASSIGN_OR_RETURN(rel, db_->Get(ref.name));
-    }
-    std::string effective = ref.effective_name();
-    if (!names.insert(ToLower(effective)).second) {
-      return Status::InvalidArgument("duplicate table name/alias '" +
-                                     effective + "' in FROM");
-    }
-    tables.push_back(QualifiedEmpty(*rel, effective));
+  for (size_t t = 0; t < scope.entries().size(); ++t) {
+    const FromEntry& entry = scope.entries()[t];
+    const Relation& rel = *entry.relation;
+    tables.emplace_back(entry.ref->effective_name(),
+                        scope.QualifiedSchema(t));
     Relation& qualified = tables.back();
     // Proven-empty scan skip: only the schema participates; joins, WHERE
     // binding, aggregation, and projection all still run so the output
     // shape (and any error) matches a real scan of zero rows.
     if (schema_only) continue;
     std::optional<std::vector<size_t>> seed;
-    if (!materialized.has_value()) seed = IndexSeed(*db_, stmt, t, conjuncts);
+    if (!entry.is_virtual()) seed = IndexSeed(*db_, stmt, t, conjuncts);
     if (seed.has_value()) ++stats_.index_prefiltered_tables;
-    stats_.base_rows_loaded += seed.has_value() ? seed->size() : rel->size();
+    stats_.base_rows_loaded += seed.has_value() ? seed->size() : rel.size();
     if (stmt.from.size() == 1 && stmt.where != nullptr &&
-        !materialized.has_value()) {
-      // Single-table binding happens against the qualified schema, whose
-      // attribute order matches the base relation, so bound column
-      // indexes address the snapshot's columns directly.
-      IQS_ASSIGN_OR_RETURN(PredicatePtr pred,
-                           BindExpr(qualified.schema(), *stmt.where));
+        !entry.is_virtual()) {
+      // The qualified schema keeps the base relation's attribute order,
+      // so its column indexes address the snapshot's columns directly.
       IQS_ASSIGN_OR_RETURN(std::shared_ptr<const ColumnarRelation> snap,
-                           db_->ColumnarSnapshot(ref.name));
-      ExtractedConjuncts split = ExtractColumnConditions(pred, *snap);
+                           db_->ColumnarSnapshot(entry.ref->name));
+      std::vector<ColumnCondition> conditions;
+      size_t prefix = ScanConditions(conjuncts, *snap, &conditions);
+      // The prefix binds cleanly by construction, so the first bind error
+      // here is the one binding the whole WHERE would report.
+      PredicatePtr residual;
+      for (size_t i = prefix; i < conjuncts.size(); ++i) {
+        IQS_ASSIGN_OR_RETURN(PredicatePtr pred,
+                             BindExpr(qualified.schema(), *conjuncts[i].expr));
+        residual = residual == nullptr ? std::move(pred)
+                                       : MakeAnd(std::move(residual),
+                                                 std::move(pred));
+      }
       ColumnarScanStats scan_stats;
       IQS_ASSIGN_OR_RETURN(
           std::vector<uint32_t> admitted,
-          ColumnarScan(*snap, split.conditions, split.residual.get(),
-                       &scan_stats, seed.has_value() ? &*seed : nullptr));
+          ColumnarScan(*snap, conditions, residual.get(), &scan_stats,
+                       seed.has_value() ? &*seed : nullptr));
       IQS_RETURN_IF_ERROR(
-          AppendRows(*rel, &admitted, "columnar.scan", &qualified));
+          AppendRows(rel, &admitted, "columnar.scan", &qualified));
       where_filtered = true;
       ++stats_.columnar_tables;
       stats_.columnar_blocks_total += scan_stats.blocks_total;
@@ -339,69 +333,32 @@ Result<Relation> SqlExecutor::ExecuteInternal(const SelectStatement& stmt,
       continue;
     }
     IQS_RETURN_IF_ERROR(AppendRows(
-        *rel, seed.has_value() ? &*seed : nullptr, "sql.scan", &qualified));
-  }
-
-  // Collect equi-join conditions (column = column across two tables).
-  struct JoinCond {
-    ColumnRef left;
-    ColumnRef right;
-    bool used = false;
-  };
-  std::vector<JoinCond> join_conds;
-  for (const SqlExpr* conjunct : TopLevelConjuncts(stmt.where.get())) {
-    if (conjunct->kind != SqlExpr::Kind::kComparison) continue;
-    if (conjunct->op != CompareOp::kEq) continue;
-    if (conjunct->lhs.kind != SqlOperand::Kind::kColumn ||
-        conjunct->rhs.kind != SqlOperand::Kind::kColumn) {
-      continue;
-    }
-    join_conds.push_back(JoinCond{conjunct->lhs.column, conjunct->rhs.column});
+        rel, seed.has_value() ? &*seed : nullptr, "sql.scan", &qualified));
   }
 
   // Greedy join plan: start with the first table; repeatedly attach a
-  // table linked by a join condition, else cross-product the next one.
+  // table reached by the first join pair (in WHERE order) with one side
+  // joined and the other not, else cross-product the next table.
   std::vector<bool> joined(tables.size(), false);
   Relation working = std::move(tables[0]);  // never read again
   joined[0] = true;
   size_t remaining = tables.size() - 1;
-  auto resolves_in = [](const Relation& rel, const ColumnRef& ref) {
-    return ResolveColumn(rel.schema(), ref).ok();
-  };
   while (remaining > 0) {
     bool attached = false;
-    for (JoinCond& cond : join_conds) {
-      if (cond.used) continue;
-      for (size_t t = 0; t < tables.size(); ++t) {
-        if (joined[t]) continue;
-        // One side must resolve in `working`, the other in table t.
-        const ColumnRef* in_working = nullptr;
-        const ColumnRef* in_table = nullptr;
-        if (resolves_in(working, cond.left) &&
-            resolves_in(tables[t], cond.right)) {
-          in_working = &cond.left;
-          in_table = &cond.right;
-        } else if (resolves_in(working, cond.right) &&
-                   resolves_in(tables[t], cond.left)) {
-          in_working = &cond.right;
-          in_table = &cond.left;
-        } else {
-          continue;
-        }
-        IQS_ASSIGN_OR_RETURN(size_t wi,
-                             ResolveColumn(working.schema(), *in_working));
-        IQS_ASSIGN_OR_RETURN(size_t ti,
-                             ResolveColumn(tables[t].schema(), *in_table));
-        IQS_ASSIGN_OR_RETURN(
-            working, JoinOn(working, working.schema().attribute(wi).name,
-                            tables[t], tables[t].schema().attribute(ti).name));
-        joined[t] = true;
-        cond.used = true;
-        --remaining;
-        attached = true;
-        break;
-      }
-      if (attached) break;
+    for (const ClassifiedConjunct& c : conjuncts) {
+      if (!c.join.has_value()) continue;
+      const auto& [a, b] = *c.join;
+      if (joined[a.table] == joined[b.table]) continue;
+      const ColumnSite& in_working = joined[a.table] ? a : b;
+      const ColumnSite& in_table = joined[a.table] ? b : a;
+      IQS_ASSIGN_OR_RETURN(
+          working, JoinOn(working, QualifiedName(scope, in_working),
+                          tables[in_table.table],
+                          QualifiedName(scope, in_table)));
+      joined[in_table.table] = true;
+      --remaining;
+      attached = true;
+      break;
     }
     if (!attached) {
       // No join condition reaches an unjoined table: cross product.
@@ -524,6 +481,11 @@ Result<Relation> SqlExecutor::ExecuteInternal(const SelectStatement& stmt,
     for (const SelectItem& item : stmt.select_list) {
       IQS_ASSIGN_OR_RETURN(size_t idx,
                            ResolveColumn(working.schema(), item.column));
+      // Output columns would share a name, and SQL has no select aliases.
+      if (std::find(indices.begin(), indices.end(), idx) != indices.end()) {
+        return Status::InvalidArgument("column '" + item.column.ToString() +
+                                       "' is selected twice");
+      }
       indices.push_back(idx);
     }
   }

@@ -13,8 +13,8 @@ namespace iqs {
 // extensional answer (paper §4). Each stored FROM table is read through
 // one access path: its index, if one covers a WHERE restriction, seeds
 // the candidate rows, and a single-table WHERE runs as the batch scan
-// over them. Multi-table FROMs join the loaded tables — equi-join
-// conditions found in the WHERE clause drive a greedy hash-join plan;
+// over them. Multi-table FROMs join the loaded tables — the join pairs
+// of the WHERE clause's classification drive a greedy hash-join plan;
 // remaining tables fall back to cross products — and filter the result
 // by the full WHERE predicate. Then the working relation is projected /
 // deduplicated / sorted.
@@ -58,8 +58,11 @@ class SqlExecutor {
 
   // Resolves `ref` against a working schema whose attributes are named
   // "<table-or-alias>.<attr>": qualified refs match exactly; unqualified
-  // refs match by base name and must be unambiguous. Exposed for the
-  // query processor, which binds WHERE conditions the same way.
+  // refs match by base name and must be unambiguous. The one column
+  // resolver: the executor's binder calls it on the working schema, and
+  // FromScope (sql/conjunct.h) on the FROM list's qualified attributes,
+  // through which the query processor's description, the semantic
+  // optimizer and the executor's access and join planning read WHERE.
   static Result<size_t> ResolveColumn(const Schema& schema,
                                       const ColumnRef& ref);
 
@@ -73,11 +76,6 @@ class SqlExecutor {
   // contribute their schemas but no rows.
   Result<Relation> ExecuteInternal(const SelectStatement& stmt,
                                    bool schema_only) const;
-
-  // An empty relation with `relation`'s attributes renamed
-  // "<effective>.<attr>".
-  static Relation QualifiedEmpty(const Relation& relation,
-                                 const std::string& effective_name);
 
   // Hash equi-join of two working relations on the named columns.
   static Result<Relation> JoinOn(const Relation& left,

@@ -32,6 +32,7 @@
 #include "sql/sql_executor.h"
 #include "sql/sql_parser.h"
 #include "sql/sqo_rewrite.h"
+#include "tests/query_corpus.h"
 #include "tests/reference_sql.h"
 #include "tests/test_util.h"
 
@@ -125,10 +126,12 @@ class ColumnarDifferentialTest : public ::testing::Test {
       const std::string& sql) {
     Result<SelectStatement> stmt = ParseSelect(sql);
     if (!stmt.ok()) return std::nullopt;
+    Result<FromScope> scope = FromScope::Build(*plain_, stmt->from);
+    if (!scope.ok()) return std::nullopt;
     for (const SqlExpr* conjunct : TopLevelConjuncts(stmt->where.get())) {
-      ClassifiedConjunct c = ClassifyConjunct(*plain_, stmt->from, *conjunct);
+      ClassifiedConjunct c = ClassifyConjunct(*scope, *conjunct);
       if (c.recognized) {
-        return std::make_pair(stmt->from[c.table].name, c.attribute);
+        return std::make_pair(stmt->from[c.site.table].name, c.attribute);
       }
     }
     return std::nullopt;
@@ -209,6 +212,8 @@ const std::vector<std::string>& GoldenCorpus() {
           // Off-domain constants: empty answer, fully pruned.
           "SELECT ClassName FROM CLASS WHERE Displacement > 99999",
           "SELECT Id FROM SUBMARINE WHERE Class = '9999'",
+          // An inverted BETWEEN admits nothing and describes nothing.
+          "SELECT Class FROM CLASS WHERE Displacement BETWEEN 9000 AND 100",
           // LIKE, with '%' and '_'.
           "SELECT Name FROM SUBMARINE WHERE Name LIKE 'Ty%'",
           "SELECT ClassName FROM CLASS WHERE ClassName LIKE '%o_'",
@@ -237,6 +242,13 @@ const std::vector<std::string>& GoldenCorpus() {
           // Bind errors.
           "SELECT Id FROM SUBMARINE WHERE NoSuchColumn = '0204'",
           "SELECT ClassName FROM CLASS WHERE Displacement > 'SSBN'",
+          // One column selected twice: an error naming the select item.
+          "SELECT Id, Id FROM SUBMARINE WHERE Class = '0204'",
+          // The alias hides the base name; an ambiguous column is no join
+          // pair, and the post-join bind reports it.
+          "SELECT s.Id FROM SUBMARINE s WHERE SUBMARINE.Class = '0204'",
+          "SELECT SUBMARINE.Name FROM SUBMARINE, CLASS "
+          "WHERE Class = CLASS.Class AND CLASS.Type = 'SSBN'",
           // Column-column comparison of incomparable types: an eval
           // error on the first row that reaches it.
           "SELECT ClassName FROM CLASS WHERE Displacement > 8000 "
@@ -412,6 +424,38 @@ TEST_F(ColumnarDifferentialTest, SeededFuzzCorpusIsAnswerPreserving) {
   }
   EXPECT_GT(tally.index_seeded, 0u);
   EXPECT_GT(tally.blocks_pruned, 0u);
+}
+
+// The intensional pipeline reads the WHERE clause the executor reads, so
+// describing a query never refuses one the executor answers, nor answers
+// one it refuses: IqsSystem::Query (caches and rewrites off) and the bare
+// executor agree on ok-ness, then on the rows or on the error text.
+TEST(DescribeExecutorAgreementTest,
+     DescribeNeverFailsAQueryTheExecutorAnswers) {
+  std::unique_ptr<IqsSystem> system = testing_util::ShipSystemOrFail();
+  ASSERT_NE(system, nullptr);
+  ASSERT_OK(system->database().AddRelation(BigRelation()));
+  SqlExecutor executor(&system->database());
+  QueryOptions options;
+  options.sqo = SqoMode::kOff;
+  options.use_cache = false;
+  std::vector<std::string> corpus = GoldenCorpus();
+  ShipQueryFuzzer fuzzer(0xC01A7ABUL);
+  for (int i = 0; i < 250; ++i) corpus.push_back(fuzzer.Next());
+  const std::vector<std::string>& sqo = testing_util::SqoGoldenCorpus();
+  corpus.insert(corpus.end(), sqo.begin(), sqo.end());
+  for (const std::string& sql : corpus) {
+    ASSERT_OK_AND_ASSIGN(SelectStatement stmt, ParseSelect(sql));
+    RunOutcome executed = Outcome(executor.Execute(stmt));
+    Result<QueryResult> answered = system->Query(sql, options);
+    ExpectSameOutcome(
+        executed,
+        Outcome(answered.ok()
+                    ? Result<Relation>(std::move(answered->extensional))
+                    : Result<Relation>(answered.status())),
+        sql, "IqsSystem::Query");
+    if (HasFailure()) break;
+  }
 }
 
 // ---- QUEL sessions ----------------------------------------------------

@@ -1,6 +1,6 @@
 // Unit coverage for the columnar storage layer (DESIGN.md §14): the
-// transpose round trip, zone-map contents, conjunct extraction, the
-// batch scan (filtering, pruning, first-error identity), the
+// transpose round trip, zone-map contents, the batch scan over
+// hand-built conditions (filtering, pruning, first-error identity), the
 // epoch-keyed Database snapshot cache, and the columnar induction
 // path's byte-identity against the row reference on hand-built
 // relations. Labeled "columnar".
@@ -131,56 +131,6 @@ TEST(ColumnarRelationTest, ColumnMinMaxMatchesActiveDomain) {
   EXPECT_EQ(via_cols.status().ToString(), via_rows.status().ToString());
 }
 
-// ---- conjunct extraction ---------------------------------------------
-
-TEST(ExtractColumnConditionsTest, TakesTheAndPrefixLeavesTheResidual) {
-  ColumnarRelation cols = ColumnarRelation::FromRelation(SmallRelation());
-  // K > 1 AND S = 'beta' AND (K < 4 OR K = 4): the OR stops extraction.
-  auto pred = MakeAnd(
-      MakeAnd(MakeCompare(CompareOp::kGt, MakeColumn(0),
-                          MakeConstant(Value::Int(1))),
-              MakeCompare(CompareOp::kEq, MakeColumn(1),
-                          MakeConstant(Value::String("beta")))),
-      MakeOr(MakeCompare(CompareOp::kLt, MakeColumn(0),
-                         MakeConstant(Value::Int(4))),
-             MakeCompare(CompareOp::kEq, MakeColumn(0),
-                         MakeConstant(Value::Int(4)))));
-  ExtractedConjuncts split = ExtractColumnConditions(pred, cols);
-  ASSERT_EQ(split.conditions.size(), 2u);
-  EXPECT_EQ(split.conditions[0].column, 0u);
-  EXPECT_EQ(split.conditions[0].op, CompareOp::kGt);
-  EXPECT_EQ(split.conditions[0].constant, Value::Int(1));
-  EXPECT_FALSE(split.conditions[0].constant_first);
-  EXPECT_EQ(split.conditions[1].column, 1u);
-  ASSERT_NE(split.residual, nullptr);
-}
-
-TEST(ExtractColumnConditionsTest, MirrorsLiteralOnTheLeft) {
-  ColumnarRelation cols = ColumnarRelation::FromRelation(SmallRelation());
-  // 2 < K is K > 2 with the orientation remembered for error text.
-  auto pred = MakeCompare(CompareOp::kLt, MakeConstant(Value::Int(2)),
-                          MakeColumn(0));
-  ExtractedConjuncts split = ExtractColumnConditions(pred, cols);
-  ASSERT_EQ(split.conditions.size(), 1u);
-  EXPECT_EQ(split.conditions[0].op, CompareOp::kGt);
-  EXPECT_TRUE(split.conditions[0].constant_first);
-  EXPECT_EQ(split.residual, nullptr);
-}
-
-TEST(ExtractColumnConditionsTest, DeclinesMixedColumnsAndBadIndexes) {
-  Relation rel("M", Schema({{"X", ValueType::kInt, false}}));
-  rel.AppendUnchecked(Tuple({Value::String("oops")}));
-  ColumnarRelation cols = ColumnarRelation::FromRelation(rel);
-  auto pred = MakeCompare(CompareOp::kEq, MakeColumn(0),
-                          MakeConstant(Value::Int(1)));
-  ExtractedConjuncts split = ExtractColumnConditions(pred, cols);
-  EXPECT_TRUE(split.conditions.empty());
-  ASSERT_NE(split.residual, nullptr);
-  auto out_of_range = MakeCompare(CompareOp::kEq, MakeColumn(9),
-                                  MakeConstant(Value::Int(1)));
-  EXPECT_TRUE(ExtractColumnConditions(out_of_range, cols).conditions.empty());
-}
-
 // ---- the batch scan --------------------------------------------------
 
 // Row-reference: evaluate `pred` over every row, first error wins.
@@ -194,13 +144,33 @@ Result<std::vector<uint32_t>> RowScan(const Relation& rel,
   return out;
 }
 
-void ExpectScanMatchesRows(const Relation& rel, const PredicatePtr& pred,
-                           ColumnarScanStats* stats = nullptr) {
+// The row predicate a condition stands for, in its written orientation.
+PredicatePtr AsPredicate(const ColumnCondition& cond) {
+  if (cond.constant_first) {
+    return MakeCompare(MirrorCompareOp(cond.op), MakeConstant(cond.constant),
+                       MakeColumn(cond.column));
+  }
+  return MakeCompare(cond.op, MakeColumn(cond.column),
+                     MakeConstant(cond.constant));
+}
+
+// The batch scan of `conditions` AND `residual` against the row scan of
+// the same conjunction: same rows, or the same first error.
+void ExpectScanMatchesRows(const Relation& rel,
+                           const std::vector<ColumnCondition>& conditions,
+                           const PredicatePtr& residual = nullptr) {
+  PredicatePtr pred;
+  for (const ColumnCondition& cond : conditions) {
+    pred = pred == nullptr ? AsPredicate(cond)
+                           : MakeAnd(std::move(pred), AsPredicate(cond));
+  }
+  if (residual != nullptr) {
+    pred = pred == nullptr ? residual : MakeAnd(std::move(pred), residual);
+  }
+  ASSERT_NE(pred, nullptr);
   ColumnarRelation cols = ColumnarRelation::FromRelation(rel);
-  ExtractedConjuncts split = ExtractColumnConditions(pred, cols);
-  ColumnarScanStats local;
-  auto columnar = ColumnarScan(cols, split.conditions, split.residual.get(),
-                               stats != nullptr ? stats : &local);
+  ColumnarScanStats stats;
+  auto columnar = ColumnarScan(cols, conditions, residual.get(), &stats);
   auto rows = RowScan(rel, pred);
   ASSERT_EQ(columnar.ok(), rows.ok()) << pred->ToString(nullptr);
   if (rows.ok()) {
@@ -213,47 +183,44 @@ void ExpectScanMatchesRows(const Relation& rel, const PredicatePtr& pred,
 TEST(ColumnarScanTest, FiltersExactlyLikeRowEvaluation) {
   Relation rel = MultiBlockRelation(2 * kColumnarBlockRows + 77);
   ExpectScanMatchesRows(
-      rel, MakeCompare(CompareOp::kEq, MakeColumn(1),
-                       MakeConstant(Value::String("green"))));
+      rel, {ColumnCondition{1, CompareOp::kEq, Value::String("green")}});
   ExpectScanMatchesRows(
-      rel, MakeAnd(MakeCompare(CompareOp::kGe, MakeColumn(0),
-                               MakeConstant(Value::Int(1000))),
-                   MakeCompare(CompareOp::kLt, MakeColumn(2),
-                               MakeConstant(Value::Real(300.0)))));
+      rel, {ColumnCondition{0, CompareOp::kGe, Value::Int(1000)},
+            ColumnCondition{2, CompareOp::kLt, Value::Real(300.0)}});
   // Null constant admits nothing, errors nothing.
-  ExpectScanMatchesRows(rel, MakeCompare(CompareOp::kEq, MakeColumn(0),
-                                         MakeConstant(Value::Null())));
-  // LIKE over a string column, with '%' and '_'.
   ExpectScanMatchesRows(rel,
-                        MakeCompare(CompareOp::kLike, MakeColumn(1),
-                                    MakeConstant(Value::String("gre_n"))));
+                        {ColumnCondition{0, CompareOp::kEq, Value::Null()}});
+  // LIKE over a string column, with '%' and '_'.
+  ExpectScanMatchesRows(
+      rel, {ColumnCondition{1, CompareOp::kLike, Value::String("gre_n")}});
+  // A residual behind the typed prefix sees only the prefix's survivors.
+  ExpectScanMatchesRows(
+      rel, {ColumnCondition{1, CompareOp::kEq, Value::String("red")}},
+      MakeOr(MakeCompare(CompareOp::kLt, MakeColumn(0),
+                         MakeConstant(Value::Int(12))),
+             MakeCompare(CompareOp::kGt, MakeColumn(0),
+                         MakeConstant(Value::Int(2000)))));
 }
 
 TEST(ColumnarScanTest, ZoneMapsPruneDisjointBlocks) {
   Relation rel = MultiBlockRelation(4 * kColumnarBlockRows);
   ColumnarRelation cols = ColumnarRelation::FromRelation(rel);
   // K is ascending, so a narrow band touches exactly one block.
-  auto pred = MakeAnd(
-      MakeCompare(CompareOp::kGe, MakeColumn(0),
-                  MakeConstant(Value::Int(10))),
-      MakeCompare(CompareOp::kLe, MakeColumn(0),
-                  MakeConstant(Value::Int(20))));
-  ExtractedConjuncts split = ExtractColumnConditions(pred, cols);
-  ASSERT_EQ(split.conditions.size(), 2u);
+  const std::vector<ColumnCondition> band = {
+      ColumnCondition{0, CompareOp::kGe, Value::Int(10)},
+      ColumnCondition{0, CompareOp::kLe, Value::Int(20)}};
   ColumnarScanStats stats;
-  ASSERT_OK_AND_ASSIGN(
-      std::vector<uint32_t> hits,
-      ColumnarScan(cols, split.conditions, split.residual.get(), &stats));
+  ASSERT_OK_AND_ASSIGN(std::vector<uint32_t> hits,
+                       ColumnarScan(cols, band, nullptr, &stats));
   EXPECT_EQ(hits.size(), 11u);
   EXPECT_EQ(stats.blocks_total, 4u);
   EXPECT_EQ(stats.blocks_pruned, 3u);
   // An off-domain point prunes everything.
-  auto miss = MakeCompare(CompareOp::kEq, MakeColumn(0),
-                          MakeConstant(Value::Int(-5)));
-  split = ExtractColumnConditions(miss, cols);
   ColumnarScanStats none;
   ASSERT_OK_AND_ASSIGN(
-      hits, ColumnarScan(cols, split.conditions, nullptr, &none));
+      hits, ColumnarScan(cols, {ColumnCondition{0, CompareOp::kEq,
+                                                Value::Int(-5)}},
+                         nullptr, &none));
   EXPECT_TRUE(hits.empty());
   EXPECT_EQ(none.blocks_pruned, none.blocks_total);
 }
@@ -265,15 +232,13 @@ TEST(ColumnarScanTest, FirstErrorMatchesRowOrderAndText) {
   Relation rel = MultiBlockRelation(kColumnarBlockRows + 50);
   ASSERT_OK_AND_ASSIGN(Date d, Date::FromString("2026-01-01"));
   ExpectScanMatchesRows(
-      rel, MakeAnd(MakeCompare(CompareOp::kEq, MakeColumn(1),
-                               MakeConstant(Value::String("red"))),
-                   MakeCompare(CompareOp::kLt, MakeColumn(0),
-                               MakeConstant(Value::OfDate(d)))));
+      rel, {ColumnCondition{1, CompareOp::kEq, Value::String("red")},
+            ColumnCondition{0, CompareOp::kLt, Value::OfDate(d)}});
   // Literal-first orientation must keep the row path's operand order in
   // the message ("cannot compare date with int", not the mirror).
-  ExpectScanMatchesRows(
-      rel, MakeCompare(CompareOp::kLt, MakeConstant(Value::OfDate(d)),
-                       MakeColumn(0)));
+  ExpectScanMatchesRows(rel, {ColumnCondition{0, CompareOp::kGt,
+                                              Value::OfDate(d),
+                                              /*constant_first=*/true}});
 }
 
 TEST(ColumnarScanTest, SelectionLimitsCandidatesAndSkipsEmptyBlocks) {
@@ -282,16 +247,14 @@ TEST(ColumnarScanTest, SelectionLimitsCandidatesAndSkipsEmptyBlocks) {
   // pruned by its zone map against K >= 1031.
   Relation rel = MultiBlockRelation(4 * kColumnarBlockRows);
   ColumnarRelation cols = ColumnarRelation::FromRelation(rel);
-  auto pred = MakeAnd(MakeCompare(CompareOp::kGe, MakeColumn(0),
-                                  MakeConstant(Value::Int(1031))),
-                      MakeCompare(CompareOp::kNe, MakeColumn(1),
-                                  MakeConstant(Value::String("blue"))));
-  ExtractedConjuncts split = ExtractColumnConditions(pred, cols);
+  const std::vector<ColumnCondition> conditions = {
+      ColumnCondition{0, CompareOp::kGe, Value::Int(1031)},
+      ColumnCondition{1, CompareOp::kNe, Value::String("blue")}};
   const std::vector<size_t> selection = {3, 1030, 1031, 1032, 2100};
   ColumnarScanStats stats;
-  ASSERT_OK_AND_ASSIGN(std::vector<uint32_t> hits,
-                       ColumnarScan(cols, split.conditions,
-                                    split.residual.get(), &stats, &selection));
+  ASSERT_OK_AND_ASSIGN(
+      std::vector<uint32_t> hits,
+      ColumnarScan(cols, conditions, nullptr, &stats, &selection));
   // 1031 % 3 == 2 is "blue"; 1032 and 2100 are "red".
   EXPECT_EQ(hits, (std::vector<uint32_t>{1032, 2100}));
   EXPECT_EQ(stats.blocks_total, 4u);

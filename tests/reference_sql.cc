@@ -330,6 +330,10 @@ Result<Relation> ReferenceExecute(const Database& db, const std::string& sql) {
     for (const SelectItem& item : stmt.select_list) {
       IQS_ASSIGN_OR_RETURN(size_t idx,
                            SqlExecutor::ResolveColumn(schema, item.column));
+      if (std::find(indices.begin(), indices.end(), idx) != indices.end()) {
+        return Status::InvalidArgument("column '" + item.column.ToString() +
+                                       "' is selected twice");
+      }
       indices.push_back(idx);
     }
   }

@@ -67,6 +67,28 @@ TEST_F(SqlExecutorTest, CollidingProjectionNamesStayQualified) {
   EXPECT_EQ(out.schema().attribute(1).name, "CLASS.Class");
 }
 
+TEST_F(SqlExecutorTest, SelectingOneColumnTwiceNamesTheSelectItem) {
+  // SQL has no select aliases and a schema forbids duplicate names, so a
+  // column selected twice is refused, naming the item as written.
+  auto twice =
+      executor_->ExecuteSql("SELECT Id, Id FROM SUBMARINE WHERE Class = '0204'");
+  ASSERT_FALSE(twice.ok());
+  EXPECT_EQ(twice.status().ToString(),
+            "InvalidArgument: column 'Id' is selected twice");
+  auto respelled =
+      executor_->ExecuteSql("SELECT Id, SUBMARINE.Id FROM SUBMARINE");
+  ASSERT_FALSE(respelled.ok());
+  EXPECT_EQ(respelled.status().ToString(),
+            "InvalidArgument: column 'SUBMARINE.Id' is selected twice");
+  // Two aliases of one table are two columns.
+  Relation pairs = Run(
+      "SELECT s.Id, t.Id FROM SUBMARINE s, SUBMARINE t "
+      "WHERE s.Id = t.Id AND s.Class = '0204'");
+  EXPECT_EQ(pairs.size(), 6u);
+  EXPECT_EQ(pairs.schema().attribute(0).name, "s.Id");
+  EXPECT_EQ(pairs.schema().attribute(1).name, "t.Id");
+}
+
 TEST_F(SqlExecutorTest, WhereFiltersRows) {
   Relation out =
       Run("SELECT Id FROM SUBMARINE WHERE SUBMARINE.Class = '0204'");

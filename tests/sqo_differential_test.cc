@@ -18,6 +18,7 @@
 #include "gtest/gtest.h"
 #include "induction/ils.h"
 #include "sql/sqo_rewrite.h"
+#include "tests/query_corpus.h"
 #include "tests/test_util.h"
 
 namespace iqs {
@@ -101,67 +102,9 @@ class SqoDifferentialTest : public ::testing::Test {
 
 IqsSystem* SqoDifferentialTest::system_ = nullptr;
 
-// Hand-picked queries: the three paper examples, every rewrite-kind
-// trigger, and the shapes the pass must leave alone. Comments mark what
-// each row is there to exercise.
-const std::vector<std::string>& GoldenCorpus() {
-  static const std::vector<std::string>* corpus = new std::vector<
-      std::string>{
-      Example1Sql(),  // paper example 1
-      Example2Sql(),  // paper example 2
-      Example3Sql(),  // paper example 3
-      // Point restriction on an induced scheme: narrowing candidate.
-      "SELECT Id FROM SUBMARINE WHERE SUBMARINE.Class = '0204'",
-      "SELECT ClassName FROM CLASS WHERE Type = 'SSBN'",
-      // Redundant range conjunct: elimination candidate.
-      "SELECT ClassName FROM CLASS WHERE Type = 'SSBN' "
-      "AND Displacement > 1000",
-      "SELECT ClassName FROM CLASS WHERE Type = 'SSBN' "
-      "AND Displacement BETWEEN 1000 AND 30000",
-      // Range disjoint from the implied band: empty-proof candidate.
-      "SELECT ClassName FROM CLASS WHERE Type = 'SSBN' "
-      "AND Displacement < 100",
-      "SELECT ClassName FROM CLASS WHERE Type = 'SSBN' "
-      "AND Displacement > 99999",
-      // Rule-subsumed shape (intensional-only in kIntensional mode; in
-      // kOn it must still answer extensionally and identically).
-      "SELECT Class FROM CLASS WHERE Type = 'SSN'",
-      // Join across the induced scheme: the pass must stay sound with
-      // two FROM tables.
-      "SELECT SUBMARINE.Id FROM SUBMARINE, CLASS "
-      "WHERE SUBMARINE.Class = CLASS.Class AND CLASS.Type = 'SSBN'",
-      "SELECT SUBMARINE.Name, CLASS.ClassName FROM SUBMARINE, CLASS "
-      "WHERE SUBMARINE.Class = CLASS.Class AND CLASS.Displacement > 8000",
-      // Disjunction: conversion is unsound conjunct-wise, pass declines.
-      "SELECT Id FROM SUBMARINE WHERE Class = '0204' OR Class = '0101'",
-      // Negation and inequality operators.
-      "SELECT Id FROM SUBMARINE WHERE Class <> '0204'",
-      "SELECT ClassName FROM CLASS WHERE Type <> 'SSBN' "
-      "AND Displacement >= 3000",
-      // Aggregates / grouping / ordering / distinct over rewritable
-      // WHEREs: the projection pipeline must see identical input rows.
-      "SELECT Type, COUNT(*) FROM CLASS WHERE Displacement > 1000 "
-      "GROUP BY Type",
-      "SELECT Class, COUNT(*) FROM SUBMARINE GROUP BY Class",
-      "SELECT DISTINCT Class FROM SUBMARINE WHERE Class = '0204'",
-      "SELECT Name FROM SUBMARINE WHERE Class = '0204' ORDER BY Name DESC",
-      "SELECT MIN(Displacement), MAX(Displacement) FROM CLASS "
-      "WHERE Type = 'SSBN'",
-      // No WHERE at all: nothing to rewrite.
-      "SELECT Name FROM SUBMARINE",
-      // Value outside the active domain: empty either way.
-      "SELECT Id FROM SUBMARINE WHERE Class = '9999'",
-      "SELECT ClassName FROM CLASS WHERE Type = 'XX' "
-      "AND Displacement > 5000",
-      // Bind error: must fail identically under both modes.
-      "SELECT Id FROM SUBMARINE WHERE NoSuchColumn = '0204'",
-  };
-  return *corpus;
-}
-
 TEST_F(SqoDifferentialTest, GoldenCorpusIsAnswerPreserving) {
   size_t fired = 0;
-  for (const std::string& sql : GoldenCorpus()) {
+  for (const std::string& sql : testing_util::SqoGoldenCorpus()) {
     fired += ExpectEquivalent(sql);
   }
   // Non-vacuity: the corpus must actually exercise the pass, not just
@@ -187,6 +130,30 @@ TEST_F(SqoDifferentialTest, IntensionalModeNeverChangesTheIntension) {
     EXPECT_GT(on->intensional.size(), 0u);
   } else {
     EXPECT_EQ(on->extensional.ToTable(), off.table);
+  }
+}
+
+TEST_F(SqoDifferentialTest, InvertedBetweenIsAnsweredEmptyInEveryMode) {
+  // An inverted BETWEEN admits no row. The description and the scan read
+  // the same classification, so it is answered, not refused, and it
+  // characterizes nothing.
+  const std::string sql =
+      "SELECT Class FROM CLASS WHERE Displacement BETWEEN 9000 AND 100";
+  for (SqoMode mode :
+       {SqoMode::kOff, SqoMode::kOn, SqoMode::kIntensional}) {
+    system_->processor().cache().Clear();
+    QueryOptions options;
+    options.sqo = mode;
+    auto result = system_->Query(sql, options);
+    ASSERT_TRUE(result.ok()) << SqoModeName(mode) << ": " << result.status();
+    EXPECT_EQ(result->extensional.size(), 0u) << SqoModeName(mode);
+    ASSERT_EQ(result->extensional.schema().size(), 1u);
+    EXPECT_EQ(result->extensional.schema().attribute(0).name, "Class");
+    for (const Clause& condition : result->description.conditions) {
+      EXPECT_EQ(condition.attribute().find("Displacement"),
+                std::string::npos)
+          << SqoModeName(mode) << ": " << condition.ToConditionString();
+    }
   }
 }
 
